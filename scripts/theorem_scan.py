@@ -2,9 +2,9 @@
 """Run the heavyweight depth-restricted size proofs over complete prefix sets.
 
 Each job solves one (n, d, s) level for every prefix in R(T'_n), reporting
-per-prefix status and the aggregate verdict (SAT = some prefix extends,
-UNSAT = none does, which proves the bound).  Progress is checkpointed in the
-catalog so the scan can be interrupted and resumed.
+per-prefix status in prefix order and the aggregate verdict (SAT = some prefix
+extends, UNSAT = none does, which proves the bound).  Progress is checkpointed
+in the catalog so the scan can be interrupted and resumed.
 
 Examples:
     python scripts/theorem_scan.py 10 7 30            # ~15 min on 2 cores
@@ -13,15 +13,15 @@ Examples:
 """
 
 import argparse
+import itertools
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sortnetsat.search import ResultCatalog, SearchTask, run_task
-from sortnetsat.solving import default_config
+from sortnetsat.search import ResultCatalog, run_level
+from sortnetsat.solving import SAT, UNKNOWN, UNSAT, default_config
 from sortnetsat.words import format_sentence, generate_prefixes
 
 
@@ -36,39 +36,33 @@ def main() -> int:
     args = ap.parse_args()
 
     config = default_config(timeout=args.timeout)
-    catalog = ResultCatalog(args.catalog)
     prefixes = generate_prefixes(args.n, "T'").sentences
     print(f"(n={args.n}, d={args.d}, s={args.s}) over {len(prefixes)} prefixes, "
           f"solver {config.name}")
 
-    done = 0
+    done = itertools.count(1)
     start = time.monotonic()
 
-    def job(prefix):
-        nonlocal done
-        res = run_task(SearchTask(args.n, args.d, args.s, prefix=prefix, config=config),
-                       catalog)
-        done += 1
-        print(f"[{done}/{len(prefixes)}] {format_sentence(prefix)}: {res.status} "
+    def report(res):
+        print(f"[{next(done)}/{len(prefixes)}] {format_sentence(res.prefix)}: {res.status} "
               f"({res.wall_time:.1f}s)", flush=True)
-        return res
 
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = list(pool.map(job, prefixes))
+    level = run_level(args.n, args.d, args.s, prefixes, config=config,
+                      catalog=ResultCatalog(args.catalog), jobs=args.jobs,
+                      stop_on_sat=False, on_result=report)
 
-    statuses = [r.status for r in results]
-    witnesses = [r for r in results if r.status == "SAT"]
+    statuses = [r.status for r in level.results]
     print(f"\ntotal {time.monotonic() - start:.0f}s: "
-          f"{statuses.count('SAT')} SAT, {statuses.count('UNSAT')} UNSAT, "
-          f"{statuses.count('UNKNOWN')} UNKNOWN")
-    if witnesses:
+          f"{statuses.count(SAT)} SAT, {statuses.count(UNSAT)} UNSAT, "
+          f"{statuses.count(UNKNOWN)} UNKNOWN")
+    if level.witnesses():
         print("witness prefixes:")
-        for r in witnesses:
+        for r in level.witnesses():
             print(" ", format_sentence(r.prefix))
-    if statuses.count("UNKNOWN"):
+    if level.status == UNKNOWN:
         print("verdict: NOT PROVEN (unknowns remain)")
         return 3
-    print("verdict:", "SAT (a network exists)" if witnesses
+    print("verdict:", "SAT (a network exists)" if level.status == SAT
           else "UNSAT (bound proven over the complete prefix set)")
     return 0
 

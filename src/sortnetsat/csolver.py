@@ -12,6 +12,7 @@ import hashlib
 import os
 import shutil
 import subprocess
+import tempfile
 from pathlib import Path
 
 _SOURCE = Path(__file__).parent / "csolver" / "minicdcl.c"
@@ -37,12 +38,15 @@ def ensure_built(quiet: bool = False) -> str | None:
     if out.exists():
         return str(out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out.with_suffix(".tmp")
-    cmd = [cc, "-O2", "-std=c99", "-o", str(tmp), str(_SOURCE), "-lm"]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    if proc.returncode != 0:
-        if not quiet:
-            raise RuntimeError(f"solver build failed:\n{proc.stderr}")
-        return None
-    tmp.replace(out)
+    # each builder compiles under its own name, so concurrent builders never
+    # share a half-written file; the rename into place is atomic
+    with tempfile.TemporaryDirectory(dir=out.parent) as tmpdir:
+        tmp = os.path.join(tmpdir, out.name)
+        cmd = [cc, "-O2", "-std=c99", "-o", tmp, str(_SOURCE), "-lm"]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        if proc.returncode != 0:
+            if not quiet:
+                raise RuntimeError(f"solver build failed:\n{proc.stderr}")
+            return None
+        os.replace(tmp, out)
     return str(out)

@@ -15,7 +15,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from sortnetsat.encoding import EncodeOptions, build_instance
 from sortnetsat.networks import Network, is_sorting_network
@@ -195,31 +195,42 @@ class OptimalityClaim:
         )
 
 
-def _solve_level(
+def run_level(
     n: int,
     d: int,
     s: int,
-    prefixes: list[Sentence] | None,
-    options: EncodeOptions,
-    config: SolverConfig,
-    catalog: ResultCatalog | None,
-    solve_fn: Callable[..., SolveOutcome],
+    prefixes: Sequence[Sentence] | None,
+    options: EncodeOptions | None = None,
+    config: SolverConfig | None = None,
+    catalog: ResultCatalog | None = None,
+    solve_fn: Callable[..., SolveOutcome] = solve,
     jobs: int = 1,
     stop_on_sat: bool = True,
+    on_result: Callable[[SearchResult], None] | None = None,
 ) -> LevelOutcome:
+    """Solve (n, d, s) once per prefix (once without a prefix when ``prefixes``
+    is None) on ``jobs`` worker threads.
+
+    With ``stop_on_sat`` the tasks run in consecutive batches of ``jobs`` and
+    the level stops after the first batch that holds a SAT, so which tasks get
+    solved does not depend on timing; without it every task is solved.
+    ``on_result`` sees each result in the calling thread, in task order.
+    """
     tasks = [
-        SearchTask(n, d, s, prefix, options, config)
+        SearchTask(n, d, s, prefix, options or EncodeOptions(), config or SolverConfig())
         for prefix in (prefixes if prefixes is not None else [None])
     ]
+    jobs = max(jobs, 1)
+    batch = jobs if stop_on_sat else max(len(tasks), 1)
     results: list[SearchResult] = []
-    if jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda t: run_task(t, catalog, solve_fn), tasks))
-    else:
-        for t in tasks:
-            res = run_task(t, catalog, solve_fn)
-            results.append(res)
-            if stop_on_sat and res.status == SAT:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        for start in range(0, len(tasks), batch):
+            chunk = tasks[start:start + batch]
+            for res in pool.map(lambda t: run_task(t, catalog, solve_fn), chunk):
+                results.append(res)
+                if on_result is not None:
+                    on_result(res)
+            if stop_on_sat and any(r.status == SAT for r in results[start:]):
                 break
     return LevelOutcome(d, s, results)
 
@@ -258,12 +269,10 @@ def optimize(
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    config = config or SolverConfig()
-    options = options or EncodeOptions()
     pool = _prefix_pool(n, prefixes)
 
     def level(d: int, s: int, stop_on_sat: bool = True) -> LevelOutcome:
-        return _solve_level(
+        return run_level(
             n, d, s, pool, options, config, catalog, solve_fn, jobs, stop_on_sat
         )
 
@@ -283,14 +292,13 @@ def optimize(
 def _min_size_at_depth(n: int, d: int, level) -> OptimalityClaim:
     claim = OptimalityClaim(n, "min_size_given_depth", d, None, False)
     s = max_size(n, d)
-    best: LevelOutcome | None = None
+    best: int | None = None  # size of the smallest witness found so far
     while s >= 1:
         out = level(d, s)
         claim.evidence.extend(out.results)
         if out.status == SAT:
-            best = out
-            smallest = min(r.network.size for r in out.witnesses())
-            s = min(s - 1, smallest - 1)
+            best = min(r.network.size for r in out.witnesses())
+            s = best - 1
         elif out.status == UNSAT:
             if best is None:
                 claim.note = f"no sorting network of depth {d} with any size"
@@ -299,15 +307,14 @@ def _min_size_at_depth(n: int, d: int, level) -> OptimalityClaim:
             break
         else:
             claim.note = f"UNKNOWN at s={s}; bound not proven"
-            if best is not None:
-                claim.value = min(r.network.size for r in best.witnesses())
+            claim.value = best
             return claim
     if best is not None:
         # rerun the optimal level without short-circuiting so every witness
         # prefix is identified
-        final = level(best.d, best.s, stop_on_sat=False)
+        final = level(d, best, stop_on_sat=False)
         claim.evidence.extend(final.results)
-        claim.value = min(r.network.size for r in final.witnesses())
+        claim.value = best
         claim.witnesses = [r.network for r in final.witnesses()]
         claim.witness_prefixes = [r.prefix for r in final.witnesses()]
         claim.proven = True

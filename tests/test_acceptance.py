@@ -7,7 +7,6 @@ heavyweight published results and are excluded by default (enable with
 import itertools
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -21,7 +20,7 @@ from sortnetsat.networks import (
     permute_untangle,
     reflect,
 )
-from sortnetsat.search import SearchTask, run_task
+from sortnetsat.search import SearchTask, run_level, run_task
 from sortnetsat.solving import SAT, UNSAT, SolverConfig, decode_network, solve
 from sortnetsat.words import (
     count_prefixes,
@@ -163,14 +162,6 @@ def test_criterion_6_small_unsat_bounds(external_cfg):
     assert time.monotonic() - start < 600.0
 
 
-def _prefix_level(n, d, s, config, jobs=2):
-    """Solve (n, d, s) once per complete-set prefix; returns results."""
-    prefixes = generate_prefixes(n, "T'").sentences
-    tasks = [SearchTask(n, d, s, prefix=p, config=config) for p in prefixes]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run_task, tasks))
-
-
 @pytest.mark.extended
 def test_criterion_7_ten_channels_depth_seven(external_cfg):
     cfg = SolverConfig("external", external_cfg.command, timeout=7200)
@@ -178,8 +169,9 @@ def test_criterion_7_ten_channels_depth_seven(external_cfg):
     out = solve(formula, cfg)
     assert out.status == SAT
     assert is_sorting_network(decode_network(out.model, vm))
-    results = _prefix_level(10, 7, 30, cfg)
-    assert all(r.status == UNSAT for r in results), {r.status for r in results}
+    level = run_level(10, 7, 30, generate_prefixes(10, "T'").sentences, config=cfg,
+                      jobs=2, stop_on_sat=False)
+    assert level.status == UNSAT, {r.status for r in level.results}
 
 
 @pytest.mark.extended
@@ -198,31 +190,31 @@ def test_criterion_7_ten_channels_depth_eight_29(external_cfg, known_optima):
 @pytest.mark.extended
 def test_criterion_7_eleven_channels_optimum_35(external_cfg):
     cfg = SolverConfig("external", external_cfg.command, timeout=14400)
-    results = _prefix_level(11, 8, 35, cfg)
-    sat_prefixes = sorted(r.prefix for r in results if r.status == SAT)
-    assert all(r.status in (SAT, UNSAT) for r in results)
-    assert len(sat_prefixes) == 5, sat_prefixes
-    for r in results:
-        if r.status == SAT:
-            assert is_sorting_network(r.network) and r.network.size <= 35
+    level = run_level(11, 8, 35, generate_prefixes(11, "T'").sentences, config=cfg,
+                      jobs=2, stop_on_sat=False)
+    assert all(r.status in (SAT, UNSAT) for r in level.results)
+    assert len(level.witnesses()) == 5, sorted(r.prefix for r in level.witnesses())
+    for r in level.witnesses():
+        assert is_sorting_network(r.network) and r.network.size <= 35
 
 
 @pytest.mark.extended
 def test_criterion_7_eleven_channels_34_impossible_to_depth_9(external_cfg):
     cfg = SolverConfig("external", external_cfg.command, timeout=86400)
-    results = _prefix_level(11, 9, 34, cfg)
-    assert all(r.status == UNSAT for r in results), {r.status for r in results}
+    level = run_level(11, 9, 34, generate_prefixes(11, "T'").sentences, config=cfg,
+                      jobs=2, stop_on_sat=False)
+    assert level.status == UNSAT, {r.status for r in level.results}
 
 
 @pytest.mark.extended
 def test_criterion_7_twelve_channels_depth_eight(external_cfg):
     cfg = SolverConfig("external", external_cfg.command, timeout=86400)
-    results = _prefix_level(12, 8, 40, cfg)
-    sat_prefixes = sorted(r.prefix for r in results if r.status == SAT)
-    assert all(r.status in (SAT, UNSAT) for r in results)
-    assert len(sat_prefixes) == 4, sat_prefixes
-    lower = _prefix_level(12, 8, 39, cfg)
-    assert all(r.status == UNSAT for r in lower), {r.status for r in lower}
+    prefixes = generate_prefixes(12, "T'").sentences
+    level = run_level(12, 8, 40, prefixes, config=cfg, jobs=2, stop_on_sat=False)
+    assert all(r.status in (SAT, UNSAT) for r in level.results)
+    assert len(level.witnesses()) == 4, sorted(r.prefix for r in level.witnesses())
+    lower = run_level(12, 8, 39, prefixes, config=cfg, jobs=2, stop_on_sat=False)
+    assert lower.status == UNSAT, {r.status for r in lower.results}
 
 
 @pytest.mark.extended
@@ -235,12 +227,10 @@ def test_criterion_7_twelve_channels_depth_nine_39(external_cfg, known_optima):
     prefixes = [seed] + [
         p for p in generate_prefixes(12, "T'").sentences if p != seed
     ]
-    for prefix in prefixes:
-        res = run_task(SearchTask(12, 9, 39, prefix=prefix, config=cfg))
-        if res.status == SAT:
-            assert is_sorting_network(res.network) and res.network.size <= 39
-            return
-    pytest.fail("no prefix extended to 39 comparators in 9 layers")
+    level = run_level(12, 9, 39, prefixes, config=cfg)
+    assert level.status == SAT, "no prefix extended to 39 comparators in 9 layers"
+    net = level.witnesses()[0].network
+    assert is_sorting_network(net) and net.size <= 39
 
 
 def _up_closure(clauses, assignment):

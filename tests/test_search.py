@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 
@@ -10,9 +11,11 @@ from sortnetsat.search import (
     SearchResult,
     SearchTask,
     optimize,
+    run_level,
     run_task,
 )
 from sortnetsat.solving import SAT, UNKNOWN, UNSAT, SolveOutcome, SolverConfig, solve
+from sortnetsat.words import generate_prefixes
 
 
 class CountingSolver:
@@ -86,6 +89,7 @@ def test_unknown_is_never_evidence(builtin_cfg, catalog):
     assert all(r.status == UNKNOWN for r in claim.evidence)
     task = SearchTask(3, 3, 3, config=builtin_cfg)
     hit = catalog.get(task)
+    assert hit is not None and hit.status == UNKNOWN
     counter = CountingSolver()
     run_task(task, catalog, counter)
     assert counter.calls == 1  # UNKNOWN cache entries get re-solved
@@ -123,6 +127,40 @@ def test_prefixed_level_uses_all_prefixes(builtin_cfg, catalog):
     assert claim.proven and claim.value == 5
     unsat_prefixes = {r.prefix for r in claim.evidence if r.status == UNSAT and r.s == 4}
     assert len(unsat_prefixes) == 6
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_min_size_witnesses_are_optimal(builtin_cfg, jobs):
+    claim = optimize(
+        4, "min_size_given_depth", depth=3,
+        config=builtin_cfg, prefixes="tprime", jobs=jobs,
+    )
+    assert claim.proven and claim.value == 5
+    assert claim.witnesses
+    assert all(net.size == claim.value for net in claim.witnesses)
+
+
+def test_run_level_stops_after_the_batch_holding_the_first_sat(builtin_cfg):
+    # over T'_4, (4, 3, 6) is first SAT at the fourth prefix, the end of the
+    # second batch of two
+    prefixes = generate_prefixes(4, "T'").sentences
+    runs, seen, threads = [], [], set()
+
+    def on_result(res):
+        seen.append(res)
+        threads.add(threading.current_thread())
+
+    for _ in range(2):
+        counter = CountingSolver()
+        out = run_level(4, 3, 6, prefixes, config=builtin_cfg, solve_fn=counter,
+                        jobs=2, on_result=on_result)
+        first_sat = [r.status for r in out.results].index(SAT)
+        assert len(out.results) == (first_sat // 2 + 1) * 2 < len(prefixes)
+        assert counter.calls == len(out.results)
+        runs.append([r.prefix for r in out.results])
+    assert runs[0] == runs[1]
+    assert [r.prefix for r in seen] == runs[0] + runs[1]  # task order
+    assert threads == {threading.current_thread()}
 
 
 def test_claim_summary_format():

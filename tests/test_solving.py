@@ -1,7 +1,11 @@
 import random
+import shutil
+import subprocess
+import threading
 
 import pytest
 
+from sortnetsat import csolver
 from sortnetsat.dpll import solve_clauses
 from sortnetsat.encoding import CnfFormula, build_instance
 from sortnetsat.networks import is_sorting_network
@@ -133,3 +137,33 @@ def test_default_config_honours_environment(monkeypatch):
     cfg = default_config(timeout=5)
     # bundled solver when a compiler exists, builtin otherwise; never crashes
     assert cfg.backend in ("external", "builtin")
+
+
+@pytest.mark.skipif(
+    not any(shutil.which(cc) for cc in ("cc", "gcc", "clang")), reason="no C compiler"
+)
+def test_concurrent_builds_share_one_binary(tmp_path, monkeypatch):
+    for trial in range(3):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / f"cache{trial}"))
+        barrier = threading.Barrier(2, timeout=60)
+        paths, errors = [], []
+
+        def build():
+            try:
+                barrier.wait()
+                paths.append(csolver.ensure_built())
+            except Exception as exc:  # reported below, not lost in the thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=build) for _ in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+            assert not th.is_alive()
+        assert not errors, errors
+        assert len(paths) == 2 and paths[0] == paths[1]
+        cnf = tmp_path / "unsat.cnf"
+        cnf.write_text("p cnf 1 2\n1 0\n-1 0\n")
+        proc = subprocess.run([paths[0], str(cnf)], capture_output=True, text=True, timeout=60)
+        assert "s UNSATISFIABLE" in proc.stdout

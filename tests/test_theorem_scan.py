@@ -1,0 +1,40 @@
+import importlib.util
+import json
+from pathlib import Path
+
+from sortnetsat.solving import SOLVER_ENV_VAR
+from sortnetsat.words import format_sentence, generate_prefixes
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "theorem_scan.py"
+
+
+def _scan(monkeypatch, capsys, catalog: Path) -> tuple[int, str]:
+    spec = importlib.util.spec_from_file_location("theorem_scan", SCRIPT)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    monkeypatch.setattr("sys.argv", [str(SCRIPT), "4", "3", "4", "--jobs", "2",
+                                     "--catalog", str(catalog)])
+    rc = mod.main()
+    return rc, capsys.readouterr().out
+
+
+def _prefixes(lines: list[str]) -> list[str]:
+    return [json.loads(line)["prefix"] for line in lines]
+
+
+def test_theorem_scan_proves_a_level_and_resumes(external_cfg, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(SOLVER_ENV_VAR, raising=False)  # the bundled solver
+    catalog = tmp_path / "scan.jsonl"
+    rc, out = _scan(monkeypatch, capsys, catalog)
+    assert rc == 0 and "verdict: UNSAT" in out
+    expected = [format_sentence(p) for p in generate_prefixes(4, "T'").sentences]
+    lines = catalog.read_text().splitlines()
+    assert sorted(_prefixes(lines)) == sorted(expected)
+
+    # an interrupted scan: the last two records never reached the catalog
+    catalog.write_text("".join(line + "\n" for line in lines[:-2]))
+    rc, out = _scan(monkeypatch, capsys, catalog)
+    assert rc == 0 and "verdict: UNSAT" in out
+    resumed = catalog.read_text().splitlines()
+    assert len(resumed) == len(lines)  # only the two missing prefixes were solved
+    assert sorted(_prefixes(resumed[-2:])) == sorted(_prefixes(lines[-2:]))
