@@ -23,21 +23,16 @@ class EncodingError(ValueError):
 
 @dataclass
 class CnfFormula:
-    """A growing clause database; num_vars tracks the largest id used."""
+    """A growing clause list.  ``num_vars`` is not derived from the clauses:
+    ``build_instance`` copies it from the VarMap that numbered them."""
 
     num_vars: int = 0
     clauses: list[tuple[int, ...]] = field(default_factory=list)
 
     def add(self, *lits: int) -> None:
-        self.add_clause(lits)
-
-    def add_clause(self, lits: tuple[int, ...]) -> None:
         if not lits:
             raise EncodingError("refusing to add an empty clause")
-        top = max(abs(l) for l in lits)
-        if top > self.num_vars:
-            self.num_vars = top
-        self.clauses.append(tuple(lits))
+        self.clauses.append(lits)
 
 
 @dataclass(frozen=True)
@@ -91,7 +86,6 @@ class VarMap:
         self.d = d
         self.start_layer = start_layer
         self._next = 0
-        self._roles: list[str] = []
         self._g: dict[tuple[int, int, int], int] = {}
         self._v: dict[tuple[Bits, int, int], int] = {}
         self._used: dict[tuple[int, int], int] = {}
@@ -101,11 +95,10 @@ class VarMap:
         for k in range(1, d + 1):
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
-                    self._g[(k, i, j)] = self.fresh(f"g {k} {i} {j}")
+                    self._g[(k, i, j)] = self.fresh()
 
-    def fresh(self, role: str) -> int:
+    def fresh(self) -> int:
         self._next += 1
-        self._roles.append(role)
         return self._next
 
     @property
@@ -124,10 +117,9 @@ class VarMap:
         if (x, self.start_layer, 1) in self._v:
             return
         self.inputs.append(x)
-        label = "".join(map(str, x))
         for k in range(self.start_layer, self.d + 1):
             for i in range(1, self.n + 1):
-                self._v[(x, k, i)] = self.fresh(f"v {label} {k} {i}")
+                self._v[(x, k, i)] = self.fresh()
 
     def v(self, x: Bits, k: int, i: int) -> int:
         return self._v[(x, k, i)]
@@ -137,10 +129,10 @@ class VarMap:
         defining clauses are emitted on first request."""
         key = (k, i)
         if key not in self._used:
-            var = self.fresh(f"used {k} {i}")
+            var = self.fresh()
             self._used[key] = var
             incident = [self.g(k, min(i, o), max(i, o)) for o in range(1, self.n + 1) if o != i]
-            formula.add_clause((-var, *incident))
+            formula.add(-var, *incident)
             for glit in incident:
                 formula.add(-glit, var)
         return self._used[key]
@@ -152,10 +144,10 @@ class VarMap:
             return None
         key = (k, i, j)
         if key not in self._one_down:
-            var = self.fresh(f"oneDown {k} {i} {j}")
+            var = self.fresh()
             self._one_down[key] = var
             lits = [self.g(k, i, l) for l in range(i + 1, j + 1)]
-            formula.add_clause((-var, *lits))
+            formula.add(-var, *lits)
             for glit in lits:
                 formula.add(-glit, var)
         return self._one_down[key]
@@ -166,17 +158,29 @@ class VarMap:
             return None
         key = (k, i, j)
         if key not in self._one_up:
-            var = self.fresh(f"oneUp {k} {i} {j}")
+            var = self.fresh()
             self._one_up[key] = var
             lits = [self.g(k, l, j) for l in range(i, j)]
-            formula.add_clause((-var, *lits))
+            formula.add(-var, *lits)
             for glit in lits:
                 formula.add(-glit, var)
         return self._one_up[key]
 
     def dump_map(self) -> str:
-        """Sidecar debugging map, one ``role ... -> id`` line per variable."""
-        return "".join(f"{role} -> {i + 1}\n" for i, role in enumerate(self._roles))
+        """Sidecar debugging map, one ``role ... -> id`` line per variable;
+        ids in none of the role tables belong to the cardinality network."""
+        roles = ["card"] * self._next
+        for (x, k, i), var in self._v.items():
+            roles[var - 1] = f"v {''.join(map(str, x))} {k} {i}"
+        for name, table in (
+            ("g", self._g),
+            ("used", self._used),
+            ("oneDown", self._one_down),
+            ("oneUp", self._one_up),
+        ):
+            for key, var in table.items():
+                roles[var - 1] = " ".join((name, *map(str, key)))
+        return "".join(f"{role} -> {var}\n" for var, role in enumerate(roles, 1))
 
 
 def encode_valid(vm: VarMap, formula: CnfFormula) -> None:
@@ -253,8 +257,8 @@ def encode_redundant_sorts(vm: VarMap, formula: CnfFormula, x: Bits) -> None:
             up = vm.one_up(k, t, i, formula)
             prev = vm.v(x, k - 1, i)
             cur = vm.v(x, k, i)
-            formula.add_clause((-prev, cur) if down is None else (-prev, down, cur))
-            formula.add_clause((prev, -cur) if up is None else (prev, up, -cur))
+            formula.add(*((-prev, cur) if down is None else (-prev, down, cur)))
+            formula.add(*((prev, -cur) if up is None else (prev, up, -cur)))
 
 
 def encode_last_layers(vm: VarMap, formula: CnfFormula) -> None:
@@ -312,7 +316,7 @@ def encode_sigma(
                     )
     if sigma3:
         for i in range(1, n):
-            formula.add_clause(tuple(vm.g(k, i, i + 1) for k in range(1, d + 1)))
+            formula.add(*(vm.g(k, i, i + 1) for k in range(1, d + 1)))
 
 
 def prefix_network(prefix: Sentence | str, n: int) -> Network:
@@ -377,10 +381,9 @@ def build_instance(
     if options.last_layer:
         encode_last_layers(vm, formula)
     encode_sigma(vm, formula, options.sigma1, options.sigma2, options.sigma3)
-    card = cardinality.build_atmost(vm.g_lits(), s, lambda: vm.fresh("card"))
-    for clause in card.clauses:
-        formula.add_clause(clause)
+    card = cardinality.build_atmost(vm.g_lits(), s, vm.fresh)
+    formula.clauses.extend(card.clauses)
     if card.c_target is not None:
         formula.add(-card.c_target)
-    formula.num_vars = max(formula.num_vars, vm.num_vars)
+    formula.num_vars = vm.num_vars
     return formula, vm

@@ -8,7 +8,6 @@ evidence.  With a prefix set, SAT means "some prefix extends", UNSAT means
 
 from __future__ import annotations
 
-import hashlib
 import json
 import threading
 import warnings
@@ -36,11 +35,6 @@ class SearchTask:
         if self.prefix is None:
             return self.options
         return self.options.with_prefix(self.prefix)
-
-    def key(self) -> str:
-        opts = self.effective_options().key()
-        raw = f"n={self.n},d={self.d},s={self.s},{opts}"
-        return hashlib.sha256(raw.encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -325,7 +319,7 @@ def _min_depth_at_size(n: int, s: int, level) -> OptimalityClaim:
     claim = OptimalityClaim(n, "min_depth_given_size", s, None, False)
     proven_below = True
     for d in range(1, 2 * n + 1):
-        out = level(d, min(s, max_size(n, d)) if max_size(n, d) >= 1 else s)
+        out = level(d, min(s, max_size(n, d)))
         claim.evidence.extend(out.results)
         if out.status == SAT:
             claim.value = d
@@ -345,8 +339,7 @@ def _pareto(n: int, level) -> OptimalityClaim:
     frontier: list[tuple[int, int]] = []
     d = 1
     while d <= 2 * n:
-        cap = max_size(n, d)
-        out = level(d, max(cap, 1))
+        out = level(d, max_size(n, d))
         claim.evidence.extend(out.results)
         if out.status == SAT:
             break

@@ -16,6 +16,7 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from sortnetsat import dpll
@@ -64,11 +65,10 @@ class SolveOutcome:
 
 
 def emit_dimacs(formula: CnfFormula) -> str:
-    for clause in formula.clauses:
-        if not clause:
-            raise ValueError("empty clause in formula")
-        if max(abs(l) for l in clause) > formula.num_vars:
-            raise ValueError("literal beyond num_vars")
+    # num_vars is set by the encoder, not derived from the clauses, and
+    # hand-built formulas reach here too: check the range once
+    if max(map(abs, chain.from_iterable(formula.clauses)), default=0) > formula.num_vars:
+        raise ValueError("literal beyond num_vars")
     lines = [f"p cnf {formula.num_vars} {len(formula.clauses)}\n"]
     lines.extend(" ".join(map(str, clause)) + " 0\n" for clause in formula.clauses)
     return "".join(lines)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from sortnetsat.encoding import (
@@ -150,6 +152,44 @@ def test_deterministic_emission():
     assert emit_dimacs(a) == emit_dimacs(b)
     c, _ = build_instance(4, 3, 5, EncodeOptions(redundant_sorts=False))
     assert emit_dimacs(a) != emit_dimacs(c)
+
+
+def test_add_refuses_an_empty_clause():
+    with pytest.raises(EncodingError):
+        CnfFormula().add()
+
+
+# (n, d, s, prefix, num_vars, clauses, sha256 of the DIMACS text, sha256 of
+# dump_map or None): the encoder promises byte-identical output, so any change
+# to variable numbering, clause order or the map text shows up here
+PINNED = [
+    (4, 3, 5, None, 378, 2367,
+     "2e27d8ebb4af554f1cf3a9e68b0f2dc97c9647ccbd4daaf09bced8546c53338c",
+     "67a52356410a0761138fcb2af25a7260564c983526da38f520df2d517853df8d"),
+    (6, 5, 12, None, 3459, 36919,
+     "bd306070283d33fc867b492e7f4181944d04d16ac94158e6db420b905a78babe", None),
+    (9, 7, 25, "(0,1221,1221c)", 10644, 127678,
+     "59a9806c08add3561c0ef39d4865476395f120677c621dd3430e61ab637ec13f",
+     "e0b753542f8e511f3fed7aa422db9e01b67e8d3e83e11cf020059c2288416d51"),
+    (11, 8, 35, "(012,12211221c)", 29898, 529774,
+     "a84fb7939c1c28acfda177171208ea101ea43df7a4ad6609ba216fce3fada01c", None),
+]
+
+
+@pytest.mark.parametrize(
+    "n,d,s,prefix,num_vars,num_clauses,dimacs_sha,map_sha",
+    PINNED,
+    ids=[f"{n}-{d}-{s}" for n, d, s, *_ in PINNED],
+)
+def test_pinned_encoder_output(n, d, s, prefix, num_vars, num_clauses, dimacs_sha, map_sha):
+    formula, vm = build_instance(n, d, s, EncodeOptions().with_prefix(prefix))
+    assert (formula.num_vars, len(formula.clauses)) == (num_vars, num_clauses)
+    assert hashlib.sha256(emit_dimacs(formula).encode()).hexdigest() == dimacs_sha
+    if map_sha is not None:
+        dump = vm.dump_map()
+        roles = {line.split(" ", 1)[0] for line in dump.splitlines()}
+        assert roles == {"g", "v", "used", "oneDown", "oneUp", "card"}
+        assert hashlib.sha256(dump.encode()).hexdigest() == map_sha
 
 
 def test_map_dump_mentions_roles():

@@ -25,7 +25,7 @@ from sortnetsat.solving import (
 def formula(num_vars, clauses):
     f = CnfFormula(num_vars)
     for c in clauses:
-        f.add_clause(c)
+        f.add(*c)
     return f
 
 
@@ -34,6 +34,12 @@ def test_emit_dimacs_trivia():
     assert emit_dimacs(CnfFormula(0)) == "p cnf 0 0\n"
     f = formula(3, [(1, -2), (2, 3)])
     assert emit_dimacs(f) == emit_dimacs(f)
+
+
+@pytest.mark.parametrize("lit", [2, -2])
+def test_emit_dimacs_rejects_literal_beyond_num_vars(lit):
+    with pytest.raises(ValueError):
+        emit_dimacs(formula(1, [(lit,)]))
 
 
 def test_parse_solver_output():
