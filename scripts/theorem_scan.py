@@ -44,8 +44,10 @@ def main() -> int:
     start = time.monotonic()
 
     def report(res):
-        print(f"[{next(done)}/{len(prefixes)}] {format_sentence(res.prefix)}: {res.status} "
-              f"({res.wall_time:.1f}s)", flush=True)
+        k = next(done)
+        eta = (time.monotonic() - start) / k * (len(prefixes) - k)
+        print(f"[{k}/{len(prefixes)}] {format_sentence(res.prefix)}: {res.status} "
+              f"({res.wall_time:.1f}s, eta {eta:.0f}s)", flush=True)
 
     level = run_level(args.n, args.d, args.s, prefixes, config=config,
                       catalog=ResultCatalog(args.catalog), jobs=args.jobs,

@@ -65,13 +65,17 @@ class SolveOutcome:
 
 
 def emit_dimacs(formula: CnfFormula) -> str:
+    clauses = formula.clauses
+    lits = tuple(chain.from_iterable(clauses))
     # num_vars is set by the encoder, not derived from the clauses, and
     # hand-built formulas reach here too: check the range once
-    if max(map(abs, chain.from_iterable(formula.clauses)), default=0) > formula.num_vars:
+    if max(lits, default=0) > formula.num_vars or -min(lits, default=0) > formula.num_vars:
         raise ValueError("literal beyond num_vars")
-    lines = [f"p cnf {formula.num_vars} {len(formula.clauses)}\n"]
-    lines.extend(" ".join(map(str, clause)) + " 0\n" for clause in formula.clauses)
-    return "".join(lines)
+    # one "%d ... %d 0" pattern per clause, filled by a single % over all literals
+    lengths = list(map(len, clauses))
+    patterns = [" ".join(["%d"] * k) + " 0\n" for k in range(max(lengths, default=0) + 1)]
+    header = f"p cnf {formula.num_vars} {len(clauses)}\n"
+    return "".join(chain((header,), map(patterns.__getitem__, lengths))) % lits
 
 
 def parse_solver_output(text: str) -> tuple[str, list[int]]:
@@ -99,10 +103,9 @@ def parse_solver_output(text: str) -> tuple[str, list[int]]:
 
 
 def check_model(formula: CnfFormula, model: dict[int, bool]) -> bool:
-    return all(
-        any(model.get(abs(l), False) == (l > 0) for l in clause)
-        for clause in formula.clauses
-    )
+    """Every clause holds under ``model``; a variable absent from it is false."""
+    true = {v if model.get(v, False) else -v for v in range(1, formula.num_vars + 1)}
+    return not any(map(true.isdisjoint, formula.clauses))
 
 
 def _complete_model(formula: CnfFormula, lits: list[int]) -> dict[int, bool]:
@@ -133,8 +136,9 @@ def solve(formula: CnfFormula, config: SolverConfig) -> SolveOutcome:
     try:
         cnf_path = workdir / "instance.cnf"
         cnf_path.write_text(emit_dimacs(formula))
-        argv = [a.replace("{cnf}", str(cnf_path)) for a in shlex.split(config.command)]
-        if not any("{cnf}" in a for a in shlex.split(config.command)):
+        template = shlex.split(config.command)
+        argv = [a.replace("{cnf}", str(cnf_path)) for a in template]
+        if not any("{cnf}" in a for a in template):
             argv.append(str(cnf_path))
         try:
             proc = subprocess.run(

@@ -15,6 +15,7 @@ from sortnetsat.solving import (
     UNSAT,
     SolverBackendError,
     SolverConfig,
+    check_model,
     decode_network,
     emit_dimacs,
     parse_solver_output,
@@ -40,6 +41,38 @@ def test_emit_dimacs_trivia():
 def test_emit_dimacs_rejects_literal_beyond_num_vars(lit):
     with pytest.raises(ValueError):
         emit_dimacs(formula(1, [(lit,)]))
+
+
+def _reference_dimacs(f):
+    return f"p cnf {f.num_vars} {len(f.clauses)}\n" + "".join(
+        " ".join(map(str, c)) + " 0\n" for c in f.clauses
+    )
+
+
+def test_emit_dimacs_matches_reference_on_random_formulas():
+    rng = random.Random(4)
+    assert emit_dimacs(CnfFormula(5)) == _reference_dimacs(CnfFormula(5))
+    for _ in range(200):
+        nv = rng.randint(1, 40)
+        clauses = [
+            tuple(rng.choice([-1, 1]) * rng.randint(1, nv) for _ in range(rng.randint(1, 12)))
+            for _ in range(rng.randint(0, 30))
+        ]
+        f = formula(nv, clauses)
+        assert emit_dimacs(f) == _reference_dimacs(f)
+
+
+def test_check_model_scans_every_clause():
+    f = formula(3, [(1, 2), (-1, 3), (2, -3), (-2, -3)])
+    assert check_model(f, {1: False, 2: True, 3: False})
+    assert not check_model(f, {1: True, 2: True, 3: False})  # breaks (-1, 3)
+    assert not check_model(f, {1: True, 2: True, 3: True})  # breaks only the last clause
+    assert check_model(CnfFormula(2), {})
+
+
+def test_check_model_treats_absent_variables_as_false():
+    assert check_model(formula(2, [(-2,)]), {1: True})
+    assert not check_model(formula(2, [(2,)]), {1: True})
 
 
 def test_parse_solver_output():

@@ -1,11 +1,13 @@
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 from sortnetsat.solving import SOLVER_ENV_VAR
 from sortnetsat.words import format_sentence, generate_prefixes
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "theorem_scan.py"
+PROGRESS = re.compile(r"\[(\d+)/(\d+)\] (\S+): (SAT|UNSAT|UNKNOWN) \(\d+\.\d+s, eta \d+s\)")
 
 
 def _scan(monkeypatch, capsys, catalog: Path) -> tuple[int, str]:
@@ -16,6 +18,13 @@ def _scan(monkeypatch, capsys, catalog: Path) -> tuple[int, str]:
                                      "--catalog", str(catalog)])
     rc = mod.main()
     return rc, capsys.readouterr().out
+
+
+def _progress(out: str) -> list[re.Match]:
+    lines = [line for line in out.splitlines() if line.startswith("[")]
+    matches = [PROGRESS.fullmatch(line) for line in lines]
+    assert all(matches), lines
+    return matches
 
 
 def _prefixes(lines: list[str]) -> list[str]:
@@ -30,6 +39,11 @@ def test_theorem_scan_proves_a_level_and_resumes(external_cfg, tmp_path, monkeyp
     expected = [format_sentence(p) for p in generate_prefixes(4, "T'").sentences]
     lines = catalog.read_text().splitlines()
     assert sorted(_prefixes(lines)) == sorted(expected)
+    progress = _progress(out)
+    assert [(int(m[1]), int(m[2])) for m in progress] == [
+        (k, len(expected)) for k in range(1, len(expected) + 1)
+    ]
+    assert [m[3] for m in progress] == expected  # in prefix order
 
     # an interrupted scan: the last two records never reached the catalog
     catalog.write_text("".join(line + "\n" for line in lines[:-2]))
@@ -38,3 +52,4 @@ def test_theorem_scan_proves_a_level_and_resumes(external_cfg, tmp_path, monkeyp
     resumed = catalog.read_text().splitlines()
     assert len(resumed) == len(lines)  # only the two missing prefixes were solved
     assert sorted(_prefixes(resumed[-2:])) == sorted(_prefixes(lines[-2:]))
+    assert len(_progress(out)) == len(expected)
