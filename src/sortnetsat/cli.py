@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=3600.0)
     p.add_argument("--catalog")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads; a level that stops at its first SAT runs "
+                   help="worker processes; a level that stops at its first SAT runs "
                         "its prefixes in batches of this size")
     p.add_argument("--save-witness")
     p.set_defaults(fn=cmd_optimize)

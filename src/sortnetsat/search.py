@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -48,6 +49,9 @@ class SearchResult:
     network: Network | None
     wall_time: float
     solver: str = ""
+    # seconds per stage of the solve that produced this result: encode_s,
+    # solve_s, verify_s; empty for records written before they were kept
+    timings: dict[str, float] = field(default_factory=dict)
 
     def record(self) -> dict:
         return {
@@ -60,6 +64,7 @@ class SearchResult:
             "network": json.loads(self.network.to_json()) if self.network else None,
             "wall_time": round(self.wall_time, 4),
             "solver": self.solver,
+            "timings": {k: round(v, 4) for k, v in self.timings.items()},
         }
 
     @classmethod
@@ -70,7 +75,7 @@ class SearchResult:
         prefix = parse_sentence(rec["prefix"]) if rec.get("prefix") else None
         return cls(
             rec["n"], rec["d"], rec["s"], prefix, rec["options"], rec["status"],
-            net, rec.get("wall_time", 0.0), rec.get("solver", ""),
+            net, rec.get("wall_time", 0.0), rec.get("solver", ""), rec.get("timings", {}),
         )
 
 
@@ -101,10 +106,25 @@ class ResultCatalog:
         return self._index.get(key)
 
     def put(self, res: SearchResult) -> None:
-        with self._lock:  # one writer at a time; workers share the catalog
+        with self._lock:  # one writer at a time; callers may share the catalog
             self._index[self._key(res)] = res
             with self.path.open("a") as fh:
                 fh.write(json.dumps(res.record()) + "\n")
+
+
+def cached_result(task: SearchTask, catalog: ResultCatalog | None) -> SearchResult | None:
+    """The catalog's answer to ``task`` when it may be reused, else None.
+
+    Cached UNKNOWNs are re-solved, never reused; SAT witnesses are re-verified
+    before being trusted.
+    """
+    hit = catalog.get(task) if catalog is not None else None
+    if hit is None or hit.status not in (SAT, UNSAT):
+        return None
+    if hit.status == SAT and (hit.network is None or not is_sorting_network(hit.network)):
+        warnings.warn("catalog SAT record failed re-verification; re-solving")
+        return None
+    return hit
 
 
 def run_task(
@@ -112,23 +132,16 @@ def run_task(
     catalog: ResultCatalog | None = None,
     solve_fn: Callable[..., SolveOutcome] = solve,
 ) -> SearchResult:
-    """Solve one (n, d, s, prefix) instance, reusing catalog answers.
-
-    Cached UNKNOWNs are re-solved, never reused; SAT witnesses are re-verified
-    before being trusted.
-    """
-    opts_key = task.effective_options().key()
-    if catalog is not None:
-        hit = catalog.get(task)
-        if hit is not None and hit.status in (SAT, UNSAT):
-            if hit.status == SAT and (
-                hit.network is None or not is_sorting_network(hit.network)
-            ):
-                warnings.warn("catalog SAT record failed re-verification; re-solving")
-            else:
-                return hit
+    """Solve one (n, d, s, prefix) instance, reusing catalog answers
+    (see ``cached_result``) and recording the answer in the catalog."""
+    hit = cached_result(task, catalog)
+    if hit is not None:
+        return hit
+    t0 = time.perf_counter()
     formula, vm = build_instance(task.n, task.d, task.s, task.effective_options())
+    t1 = time.perf_counter()
     outcome = solve_fn(formula, task.config)
+    t2 = time.perf_counter()
     network = None
     if outcome.status == SAT:
         network = decode_network(outcome.model, vm)
@@ -138,9 +151,10 @@ def run_task(
             )
         if network.size > task.s or network.depth > task.d:
             raise RuntimeError("decoded witness violates its size/depth bounds")
+    timings = {"encode_s": t1 - t0, "solve_s": t2 - t1, "verify_s": time.perf_counter() - t2}
     result = SearchResult(
-        task.n, task.d, task.s, task.prefix, opts_key,
-        outcome.status, network, outcome.wall_time, outcome.solver,
+        task.n, task.d, task.s, task.prefix, task.effective_options().key(),
+        outcome.status, network, outcome.wall_time, outcome.solver, timings,
     )
     if catalog is not None:
         catalog.put(result)
@@ -203,13 +217,24 @@ def run_level(
     on_result: Callable[[SearchResult], None] | None = None,
 ) -> LevelOutcome:
     """Solve (n, d, s) once per prefix (once without a prefix when ``prefixes``
-    is None) on ``jobs`` worker threads.
+    is None) in ``jobs`` worker processes.
 
-    With ``stop_on_sat`` the tasks run in consecutive batches of ``jobs`` and
-    the level stops after the first batch that holds a SAT, so which tasks get
-    solved does not depend on timing; without it every task is solved.
-    ``on_result`` sees each result in the calling thread, in task order.
+    The calling process answers what it can from ``catalog`` (see
+    ``cached_result``) and sends the other tasks to the workers, which encode,
+    solve, decode and verify them; only the calling process writes the
+    catalog, one record per solved task in task order.  With ``stop_on_sat``
+    the tasks run in consecutive batches of ``jobs`` and the level stops after
+    the first batch that holds a SAT, so which tasks get solved does not
+    depend on timing; without it every task is solved.  ``on_result`` sees
+    each result in the calling thread, in task order.  ``solve_fn`` is sent to
+    the workers, so it must be picklable: a module-level function or an
+    instance of a module-level class.
     """
+    # imported here, so that commands that run no level (``solve``,
+    # ``encode``) do not pay for importing the process-pool machinery
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
     tasks = [
         SearchTask(n, d, s, prefix, options or EncodeOptions(), config or SolverConfig())
         for prefix in (prefixes if prefixes is not None else [None])
@@ -217,10 +242,22 @@ def run_level(
     jobs = max(jobs, 1)
     batch = jobs if stop_on_sat else max(len(tasks), 1)
     results: list[SearchResult] = []
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    # fork, not spawn: a spawned worker re-imports the package, about 0.13 s
+    # of CPU each on a 2-vCPU machine against under 0.01 s for a forked one,
+    # and optimize runs many short levels.  The workers are forked at the
+    # first submit, before the pool starts its own thread.  The pool lives for
+    # one level, so its workers (and their solver processes) are reaped when
+    # the level ends.
+    with ProcessPoolExecutor(jobs, mp_context=get_context("fork")) as pool:
         for start in range(0, len(tasks), batch):
             chunk = tasks[start:start + batch]
-            for res in pool.map(lambda t: run_task(t, catalog, solve_fn), chunk):
+            hits = [cached_result(t, catalog) for t in chunk]
+            misses = [t for t, hit in zip(chunk, hits) if hit is None]
+            solved = pool.map(run_task, misses, repeat(None), repeat(solve_fn))
+            for hit in hits:
+                res = hit if hit is not None else next(solved)
+                if hit is None and catalog is not None:
+                    catalog.put(res)
                 results.append(res)
                 if on_result is not None:
                     on_result(res)

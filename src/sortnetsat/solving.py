@@ -36,7 +36,9 @@ class SolverBackendError(RuntimeError):
 class SolverConfig:
     """``backend`` is "builtin" or "external"; external needs a command
     template, e.g. ``"kissat -q {cnf}"`` ({cnf} is replaced by the file path,
-    appended if missing)."""
+    appended if missing).  Each external solve writes its formula into a
+    fresh temporary directory inside ``workdir`` (the system default when
+    None) and removes it afterwards."""
 
     backend: str = "builtin"
     command: str | None = None
@@ -128,12 +130,10 @@ def solve(formula: CnfFormula, config: SolverConfig) -> SolveOutcome:
             raise SolverBackendError("builtin solver returned a bad model")
         return SolveOutcome(status, model, config.name, wall)
 
-    workdir = Path(config.workdir) if config.workdir else None
-    tmp = None
-    if workdir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="sortnetsat-")
-        workdir = Path(tmp.name)
-    try:
+    # a fresh directory per call, also inside a shared ``config.workdir``:
+    # concurrent solves must never hand a solver each other's formula
+    with tempfile.TemporaryDirectory(prefix="sortnetsat-", dir=config.workdir) as tmp:
+        workdir = Path(tmp)
         cnf_path = workdir / "instance.cnf"
         cnf_path.write_text(emit_dimacs(formula))
         template = shlex.split(config.command)
@@ -164,9 +164,6 @@ def solve(formula: CnfFormula, config: SolverConfig) -> SolveOutcome:
             if not check_model(formula, model):
                 raise SolverBackendError(f"model from {config.name!r} does not satisfy the formula")
         return SolveOutcome(status, model, config.name, time.monotonic() - start)
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
 
 
 def decode_network(model: dict[int, bool], vm: VarMap) -> Network:

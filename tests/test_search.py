@@ -1,5 +1,6 @@
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -15,21 +16,39 @@ from sortnetsat.search import (
     run_task,
 )
 from sortnetsat.solving import SAT, UNKNOWN, UNSAT, SolveOutcome, SolverConfig, solve
-from sortnetsat.words import generate_prefixes
+from sortnetsat.words import format_sentence, generate_prefixes
 
 
 class CountingSolver:
-    def __init__(self):
-        self.calls = 0
+    """Counts its calls in a file, one line per call, so that the calls made
+    in the level runner's worker processes count too."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self.path.write_text("")
+
+    @property
+    def calls(self):
+        return len(self.path.read_text().splitlines())
 
     def __call__(self, formula, config):
-        self.calls += 1
+        with self.path.open("a") as fh:
+            fh.write("call\n")
         return solve(formula, config)
 
 
 class AlwaysUnknown:
     def __call__(self, formula, config):
         return SolveOutcome(UNKNOWN, None, "stub", 0.0)
+
+
+class EmptyNetworkLiar:
+    """Claims SAT with the all-false model, which decodes to a network with no
+    comparators."""
+
+    def __call__(self, formula, config):
+        model = {v: False for v in range(1, formula.num_vars + 1)}
+        return SolveOutcome(SAT, model, "liar", 0.0)
 
 
 @pytest.fixture
@@ -54,6 +73,22 @@ def test_catalog_persists_and_reloads(tmp_path, builtin_cfg):
     assert reloaded.network == first.network
 
 
+def test_solved_record_keeps_stage_timings(tmp_path, builtin_cfg):
+    path = tmp_path / "cat.jsonl"
+    task = SearchTask(3, 3, 3, config=builtin_cfg)
+    res = run_task(task, ResultCatalog(path))
+    rec = json.loads(path.read_text())
+    for timings in (res.timings, rec["timings"], ResultCatalog(path).get(task).timings):
+        assert set(timings) == {"encode_s", "solve_s", "verify_s"}
+        assert all(v >= 0 for v in timings.values())
+
+
+def test_record_without_timings_loads():
+    rec = SearchResult(2, 1, 1, None, "k", UNSAT, None, 0.1).record()
+    del rec["timings"]
+    assert SearchResult.from_record(rec).timings == {}
+
+
 def test_catalog_skips_corrupt_lines(tmp_path):
     path = tmp_path / "cat.jsonl"
     rec = SearchResult(2, 1, 1, None, "k", UNSAT, None, 0.1).record()
@@ -63,8 +98,8 @@ def test_catalog_skips_corrupt_lines(tmp_path):
     assert len(cat._index) == 1
 
 
-def test_warm_catalog_skips_solver_calls(builtin_cfg, catalog):
-    counter = CountingSolver()
+def test_warm_catalog_skips_solver_calls(builtin_cfg, catalog, tmp_path):
+    counter = CountingSolver(tmp_path / "calls")
     claim = optimize(
         4, "pareto", config=builtin_cfg, catalog=catalog, solve_fn=counter
     )
@@ -78,7 +113,7 @@ def test_warm_catalog_skips_solver_calls(builtin_cfg, catalog):
     assert claim2.proven and claim2.note == claim.note
 
 
-def test_unknown_is_never_evidence(builtin_cfg, catalog):
+def test_unknown_is_never_evidence(builtin_cfg, catalog, tmp_path):
     claim = optimize(
         3, "min_size_given_depth", depth=3,
         config=builtin_cfg, catalog=catalog, solve_fn=AlwaysUnknown(),
@@ -90,7 +125,7 @@ def test_unknown_is_never_evidence(builtin_cfg, catalog):
     task = SearchTask(3, 3, 3, config=builtin_cfg)
     hit = catalog.get(task)
     assert hit is not None and hit.status == UNKNOWN
-    counter = CountingSolver()
+    counter = CountingSolver(tmp_path / "calls")
     run_task(task, catalog, counter)
     assert counter.calls == 1  # UNKNOWN cache entries get re-solved
 
@@ -140,7 +175,7 @@ def test_min_size_witnesses_are_optimal(builtin_cfg, jobs):
     assert all(net.size == claim.value for net in claim.witnesses)
 
 
-def test_run_level_stops_after_the_batch_holding_the_first_sat(builtin_cfg):
+def test_run_level_stops_after_the_batch_holding_the_first_sat(builtin_cfg, tmp_path):
     # over T'_4, (4, 3, 6) is first SAT at the fourth prefix, the end of the
     # second batch of two
     prefixes = generate_prefixes(4, "T'").sentences
@@ -150,8 +185,8 @@ def test_run_level_stops_after_the_batch_holding_the_first_sat(builtin_cfg):
         seen.append(res)
         threads.add(threading.current_thread())
 
-    for _ in range(2):
-        counter = CountingSolver()
+    for run in range(2):
+        counter = CountingSolver(tmp_path / f"calls{run}")
         out = run_level(4, 3, 6, prefixes, config=builtin_cfg, solve_fn=counter,
                         jobs=2, on_result=on_result)
         first_sat = [r.status for r in out.results].index(SAT)
@@ -161,6 +196,27 @@ def test_run_level_stops_after_the_batch_holding_the_first_sat(builtin_cfg):
     assert runs[0] == runs[1]
     assert [r.prefix for r in seen] == runs[0] + runs[1]  # task order
     assert threads == {threading.current_thread()}
+
+
+def test_worker_failure_raises_in_the_caller_and_writes_nothing(builtin_cfg, catalog):
+    prefixes = generate_prefixes(4, "T'").sentences
+    with pytest.raises(RuntimeError, match="does not sort"):
+        run_level(4, 3, 6, prefixes, config=builtin_cfg, catalog=catalog,
+                  solve_fn=EmptyNetworkLiar(), jobs=2, stop_on_sat=False)
+    reloaded = ResultCatalog(catalog.path)
+    assert all(reloaded.get(SearchTask(4, 3, 6, p, config=builtin_cfg)) is None
+               for p in prefixes)
+
+
+def test_level_catalog_holds_one_line_per_solved_task_in_task_order(builtin_cfg, catalog):
+    prefixes = generate_prefixes(4, "T'").sentences
+    out = run_level(4, 3, 5, prefixes, config=builtin_cfg, catalog=catalog,
+                    jobs=2, stop_on_sat=False)
+    assert len(out.results) == len(prefixes)
+    records = [json.loads(line) for line in catalog.path.read_text().splitlines()]
+    assert [r["prefix"] for r in records] == [format_sentence(p) for p in prefixes]
+    assert [r["status"] for r in records] == [r.status for r in out.results]
+    assert all(set(r["timings"]) == {"encode_s", "solve_s", "verify_s"} for r in records)
 
 
 def test_claim_summary_format():

@@ -2,6 +2,7 @@ import random
 import shutil
 import subprocess
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +110,25 @@ def test_external_crash_is_an_error():
         solve(f, SolverConfig("external", "echo not-a-solver-answer", timeout=10))
     with pytest.raises(SolverBackendError):
         solve(f, SolverConfig("external", "/nonexistent/solver {cnf}", timeout=10))
+
+
+def test_shared_workdir_gives_each_solve_its_own_file(tmp_path):
+    # a stand-in solver that logs the path it was given and the header of the
+    # formula it found there
+    log = tmp_path / "calls.log"
+    script = tmp_path / "logsolver.sh"
+    script.write_text(f'echo "$1 $(head -n 1 "$1")" >> "{log}"\necho s UNSATISFIABLE\n')
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    cfg = SolverConfig("external", f"sh {script} {{cnf}}", timeout=10, workdir=str(workdir))
+    for f in (formula(1, [(1,)]), formula(2, [(1, 2)])):
+        assert solve(f, cfg).status == UNSAT
+    calls = [line.split(" ", 1) for line in log.read_text().splitlines()]
+    assert [header for _, header in calls] == ["p cnf 1 1", "p cnf 2 1"]
+    paths = [path for path, _ in calls]
+    assert len(set(paths)) == 2
+    assert all(workdir in Path(path).parents for path in paths)
+    assert list(workdir.iterdir()) == []
 
 
 def test_decode_single_comparator(builtin_cfg):
