@@ -7,7 +7,7 @@ extends, UNSAT = none does, which proves the bound).  Progress is checkpointed
 in the catalog so the scan can be interrupted and resumed.
 
 Examples:
-    python scripts/theorem_scan.py 10 7 30            # ~15 min on 2 cores
+    python scripts/theorem_scan.py 10 7 30            # ~3 min on 2 cores
     python scripts/theorem_scan.py 11 8 35 --jobs 2   # hours
     python scripts/theorem_scan.py 11 9 34 --timeout 86400   # days
 """

@@ -17,7 +17,7 @@ from sortnetsat.encoding import EncodeOptions, build_instance
 from sortnetsat.networks import Network, is_sorting_network
 from sortnetsat.render import render_svg
 from sortnetsat.search import ResultCatalog, optimize, run_task, SearchTask
-from sortnetsat.solving import SAT, SolverConfig, default_config, emit_dimacs, solve
+from sortnetsat.solving import SAT, SolverConfig, default_config, solve, write_dimacs
 from sortnetsat.words import (
     count_prefixes,
     format_sentence,
@@ -68,12 +68,12 @@ def cmd_prefixes(args: argparse.Namespace) -> int:
 
 def cmd_encode(args: argparse.Namespace) -> int:
     formula, vm = build_instance(args.n, args.d, args.s, _encode_options(args))
-    text = emit_dimacs(formula)
     if args.output:
-        Path(args.output).write_text(text)
+        with open(args.output, "w") as fh:
+            write_dimacs(formula, fh)
         print(f"wrote {formula.num_vars} vars, {len(formula.clauses)} clauses to {args.output}")
     else:
-        sys.stdout.write(text)
+        write_dimacs(formula, sys.stdout)
     if args.map:
         Path(args.map).write_text(vm.dump_map())
     return 0

@@ -6,15 +6,28 @@ Variables, in allocation order: the comparator placements g(k,i,j)
 input vector, then auxiliaries (channel-used flags, window propagation
 helpers, cardinality internals).  Identical build inputs produce identical
 formulas byte for byte.
+
+Every input's value chain is one contiguous block of ids, so the clauses of
+one input are those of any other with the block shifted.  ``encode_inputs``
+therefore encodes clause by clause only the first input, and the first input
+with each window, and copies every later input's clauses from templates
+derived from those calls.  The output is the same as encoding each input in
+turn; ``ENCODER_VERSION`` names it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import itemgetter, neg
 
 from sortnetsat import cardinality
 from sortnetsat.networks import Bits, Network, all_inputs, is_sorted_bits, unsorted_outputs
 from sortnetsat.words import Sentence, format_sentence, net_of, parse_sentence, word_channels
+
+
+# Part of every catalog key.  Bump it whenever the DIMACS text of some instance
+# changes, so that results cached under an older encoder are solved again.
+ENCODER_VERSION = 1
 
 
 class EncodingError(ValueError):
@@ -54,8 +67,8 @@ class EncodeOptions:
         return replace(self, prefix=prefix)
 
     def key(self) -> str:
-        """Stable text form for catalog keys."""
-        flags = [
+        """Stable text form for catalog keys, naming the encoder version."""
+        flags = [f"encoder={ENCODER_VERSION}"] + [
             f"{name}={int(getattr(self, name))}"
             for name in (
                 "redundant_sorts",
@@ -87,7 +100,7 @@ class VarMap:
         self.start_layer = start_layer
         self._next = 0
         self._g: dict[tuple[int, int, int], int] = {}
-        self._v: dict[tuple[Bits, int, int], int] = {}
+        self._base: dict[Bits, int] = {}  # first id of each input's value chain
         self._used: dict[tuple[int, int], int] = {}
         self._one_down: dict[tuple[int, int, int], int] = {}
         self._one_up: dict[tuple[int, int, int], int] = {}
@@ -112,17 +125,24 @@ class VarMap:
         return [self._g[key] for key in sorted(self._g)]
 
     def register_input(self, x: Bits) -> None:
+        """Give x one contiguous block of ids, v(x,start,1) ... v(x,d,n)."""
         if len(x) != self.n:
             raise EncodingError(f"input {x} does not have {self.n} bits")
-        if (x, self.start_layer, 1) in self._v:
+        if x in self._base:
             return
         self.inputs.append(x)
-        for k in range(self.start_layer, self.d + 1):
-            for i in range(1, self.n + 1):
-                self._v[(x, k, i)] = self.fresh()
+        self._base[x] = self._next + 1
+        self._next += (self.d - self.start_layer + 1) * self.n
+
+    def block(self, x: Bits) -> range:
+        """The ids of x's value chain, layer-major."""
+        base = self._base[x]
+        return range(base, base + (self.d - self.start_layer + 1) * self.n)
 
     def v(self, x: Bits, k: int, i: int) -> int:
-        return self._v[(x, k, i)]
+        if not (self.start_layer <= k <= self.d and 1 <= i <= self.n):
+            raise KeyError((x, k, i))
+        return self._base[x] + (k - self.start_layer) * self.n + i - 1
 
     def used(self, k: int, i: int, formula: CnfFormula) -> int:
         """The channel-used flag used(k,i) <-> OR of incident g(k,.,.);
@@ -170,8 +190,11 @@ class VarMap:
         """Sidecar debugging map, one ``role ... -> id`` line per variable;
         ids in none of the role tables belong to the cardinality network."""
         roles = ["card"] * self._next
-        for (x, k, i), var in self._v.items():
-            roles[var - 1] = f"v {''.join(map(str, x))} {k} {i}"
+        for x in self.inputs:
+            bits = "".join(map(str, x))
+            for offset, var in enumerate(self.block(x)):
+                k, i = divmod(offset, self.n)
+                roles[var - 1] = f"v {bits} {self.start_layer + k} {i + 1}"
         for name, table in (
             ("g", self._g),
             ("used", self._used),
@@ -203,10 +226,23 @@ def encode_sorts(vm: VarMap, formula: CnfFormula, x: Bits, y: Bits | None = None
     elif tuple(y) != expected:
         raise EncodingError(f"y={y} is not sorted({x})")
     vm.register_input(x)
-    n, d, start = vm.n, vm.d, vm.start_layer
-    for i in range(1, n + 1):
-        formula.add(vm.v(x, start, i) if x[i - 1] else -vm.v(x, start, i))
-    for k in range(start + 1, d + 1):
+    encode_units(vm, formula, x, vm.start_layer, x)
+    _encode_chain(vm, formula, x)
+    encode_units(vm, formula, x, vm.d, y)
+
+
+def encode_units(vm: VarMap, formula: CnfFormula, x: Bits, k: int, bits: Bits) -> None:
+    """Pin x's values at layer k to ``bits``."""
+    for i in range(1, vm.n + 1):
+        formula.add(vm.v(x, k, i) if bits[i - 1] else -vm.v(x, k, i))
+
+
+def _encode_chain(vm: VarMap, formula: CnfFormula, x: Bits) -> None:
+    """Each layer's values along x's chain follow from the previous layer's
+    through the comparators placed there (a channel no comparator uses keeps
+    its value)."""
+    n, d = vm.n, vm.d
+    for k in range(vm.start_layer + 1, d + 1):
         for i in range(1, n + 1):
             cur = vm.v(x, k, i)
             prev = vm.v(x, k - 1, i)
@@ -227,8 +263,6 @@ def encode_sorts(vm: VarMap, formula: CnfFormula, x: Bits, y: Bits | None = None
                 formula.add(-glit, cur, -other, -prev)
                 formula.add(-glit, -cur, other)
                 formula.add(-glit, -cur, prev)
-    for i in range(1, n + 1):
-        formula.add(vm.v(x, d, i) if y[i - 1] else -vm.v(x, d, i))
 
 
 def window_of(x: Bits) -> tuple[int, int]:
@@ -259,6 +293,67 @@ def encode_redundant_sorts(vm: VarMap, formula: CnfFormula, x: Bits) -> None:
             cur = vm.v(x, k, i)
             formula.add(*((-prev, cur) if down is None else (-prev, down, cur)))
             formula.add(*((prev, -cur) if up is None else (prev, up, -cur)))
+
+
+class _Template:
+    """The clauses ``encode(vm, formula, x)`` writes, with x's value-chain ids
+    abstracted out, so that ``apply`` can write the same clauses for another
+    input's block.  Each clause is one itemgetter over the literal list
+    ``[constants..., +chain ids..., -chain ids...]`` of the input it is applied
+    to, so the clauses of one input share their int objects.
+
+    ``encode`` must already have run for x, so that every auxiliary it names
+    exists: the call made here then writes x's own clauses and no definitions.
+    None of them is a unit clause (``encode_units`` writes those), so each
+    itemgetter returns a tuple.
+    """
+
+    def __init__(self, vm: VarMap, encode, x: Bits):
+        scratch = CnfFormula()
+        encode(vm, scratch, x)
+        block = vm.block(x)
+        self.constants = sorted({l for c in scratch.clauses for l in c if abs(l) not in block})
+        pos, width = len(self.constants), len(block)
+        where = {l: at for at, l in enumerate(self.constants)}
+        where.update(zip(block, range(pos, pos + width)))
+        where.update(zip(map(neg, block), range(pos + width, pos + 2 * width)))
+        self.getters = [itemgetter(*map(where.__getitem__, c)) for c in scratch.clauses]
+
+    def apply(self, formula: CnfFormula, block: range) -> None:
+        lits = [*self.constants, *block, *range(-block.start, -block.stop, -1)]
+        formula.clauses.extend([get(lits) for get in self.getters])
+
+
+def encode_inputs(
+    vm: VarMap, formula: CnfFormula, inputs: list[Bits], redundant_sorts: bool
+) -> None:
+    """``encode_sorts`` for every input in turn, each unsorted one followed by
+    ``encode_redundant_sorts`` when ``redundant_sorts`` is set.
+
+    Only the first input, and the first input with each window, go through
+    those functions, which allocate the auxiliaries in order and write their
+    definitions.  Every later input copies its clauses from the templates
+    those calls leave, so the output is the same as encoding each in turn.
+    """
+    for x in inputs:
+        vm.register_input(x)  # keep all value chains ahead of the auxiliaries
+    chain = None
+    windows: dict[tuple[int, int], _Template] = {}
+    for x in inputs:
+        if chain is None:
+            encode_sorts(vm, formula, x)
+            chain = _Template(vm, _encode_chain, x)
+        else:
+            encode_units(vm, formula, x, vm.start_layer, x)
+            chain.apply(formula, vm.block(x))
+            encode_units(vm, formula, x, vm.d, tuple(sorted(x)))
+        if redundant_sorts and not is_sorted_bits(x):
+            key = window_of(x)
+            if key in windows:
+                windows[key].apply(formula, vm.block(x))
+            else:
+                encode_redundant_sorts(vm, formula, x)
+                windows[key] = _Template(vm, encode_redundant_sorts, x)
 
 
 def encode_last_layers(vm: VarMap, formula: CnfFormula) -> None:
@@ -372,12 +467,7 @@ def build_instance(
         inputs = [
             x for x in all_inputs(n) if not (options.only_unsorted and is_sorted_bits(x))
         ]
-    for x in inputs:
-        vm.register_input(x)  # keep all value chains ahead of the auxiliaries
-    for x in inputs:
-        encode_sorts(vm, formula, x)
-        if options.redundant_sorts and not is_sorted_bits(x):
-            encode_redundant_sorts(vm, formula, x)
+    encode_inputs(vm, formula, inputs, options.redundant_sorts)
     if options.last_layer:
         encode_last_layers(vm, formula)
     encode_sigma(vm, formula, options.sigma1, options.sigma2, options.sigma3)

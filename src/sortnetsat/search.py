@@ -9,7 +9,7 @@ evidence.  With a prefix set, SAT means "some prefix extends", UNSAT means
 from __future__ import annotations
 
 import json
-import threading
+import os
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -85,7 +85,6 @@ class ResultCatalog:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._index: dict[tuple, SearchResult] = {}
-        self._lock = threading.Lock()
         if self.path.exists():
             for lineno, line in enumerate(self.path.read_text().splitlines(), 1):
                 if not line.strip():
@@ -106,10 +105,17 @@ class ResultCatalog:
         return self._index.get(key)
 
     def put(self, res: SearchResult) -> None:
-        with self._lock:  # one writer at a time; callers may share the catalog
-            self._index[self._key(res)] = res
-            with self.path.open("a") as fh:
-                fh.write(json.dumps(res.record()) + "\n")
+        # one write of the whole line on an O_APPEND descriptor: processes
+        # sharing the file never interleave parts of their records
+        line = (json.dumps(res.record()) + "\n").encode()
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            written = os.write(fd, line)
+        finally:
+            os.close(fd)
+        if written != len(line):
+            raise OSError(f"{self.path}: wrote {written} of {len(line)} bytes of a record")
+        self._index[self._key(res)] = res
 
 
 def cached_result(task: SearchTask, catalog: ResultCatalog | None) -> SearchResult | None:

@@ -10,6 +10,7 @@ formula before anyone gets to see them.
 
 from __future__ import annotations
 
+import io
 import os
 import shlex
 import subprocess
@@ -18,6 +19,7 @@ import time
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+from typing import TextIO
 
 from sortnetsat import dpll
 from sortnetsat.encoding import CnfFormula, VarMap
@@ -66,18 +68,37 @@ class SolveOutcome:
     wall_time: float
 
 
-def emit_dimacs(formula: CnfFormula) -> str:
+# clauses per chunk of write_dimacs: bounds the text and literals held at once
+DIMACS_CHUNK = 1 << 13
+
+
+def write_dimacs(formula: CnfFormula, fh: TextIO) -> None:
+    """Write the DIMACS text of ``formula`` to ``fh``, a chunk of clauses at a
+    time.  A literal beyond num_vars raises ValueError; the chunks before the
+    one holding it have been written by then."""
+    nv = formula.num_vars
     clauses = formula.clauses
-    lits = tuple(chain.from_iterable(clauses))
-    # num_vars is set by the encoder, not derived from the clauses, and
-    # hand-built formulas reach here too: check the range once
-    if max(lits, default=0) > formula.num_vars or -min(lits, default=0) > formula.num_vars:
-        raise ValueError("literal beyond num_vars")
-    # one "%d ... %d 0" pattern per clause, filled by a single % over all literals
-    lengths = list(map(len, clauses))
-    patterns = [" ".join(["%d"] * k) + " 0\n" for k in range(max(lengths, default=0) + 1)]
-    header = f"p cnf {formula.num_vars} {len(clauses)}\n"
-    return "".join(chain((header,), map(patterns.__getitem__, lengths))) % lits
+    fh.write(f"p cnf {nv} {len(clauses)}\n")
+    # patterns[k] is the "%d ... %d 0" line of a k-literal clause
+    patterns = [" 0\n"]
+    for start in range(0, len(clauses), DIMACS_CHUNK):
+        chunk = clauses[start : start + DIMACS_CHUNK]
+        lits = tuple(chain.from_iterable(chunk))
+        # num_vars is set by the encoder, not derived from the clauses, and
+        # hand-built formulas reach here too: check the range
+        if max(lits, default=0) > nv or -min(lits, default=0) > nv:
+            raise ValueError("literal beyond num_vars")
+        lengths = list(map(len, chunk))
+        for k in range(len(patterns), max(lengths) + 1):
+            patterns.append(" ".join(["%d"] * k) + " 0\n")
+        fh.write("".join(map(patterns.__getitem__, lengths)) % lits)
+
+
+def emit_dimacs(formula: CnfFormula) -> str:
+    """The text ``write_dimacs`` writes, as one string."""
+    text = io.StringIO()
+    write_dimacs(formula, text)
+    return text.getvalue()
 
 
 def parse_solver_output(text: str) -> tuple[str, list[int]]:
@@ -135,7 +156,8 @@ def solve(formula: CnfFormula, config: SolverConfig) -> SolveOutcome:
     with tempfile.TemporaryDirectory(prefix="sortnetsat-", dir=config.workdir) as tmp:
         workdir = Path(tmp)
         cnf_path = workdir / "instance.cnf"
-        cnf_path.write_text(emit_dimacs(formula))
+        with cnf_path.open("w") as fh:
+            write_dimacs(formula, fh)
         template = shlex.split(config.command)
         argv = [a.replace("{cnf}", str(cnf_path)) for a in template]
         if not any("{cnf}" in a for a in template):

@@ -32,6 +32,15 @@ def test_encode_to_stdout(capsys):
     assert capsys.readouterr().out.startswith("p cnf ")
 
 
+def test_encode_file_and_stdout_give_the_same_bytes(tmp_path, capsys):
+    args = ["encode", "6", "4", "10", "--prefix", "(0,0,12)"]
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    cnf = tmp_path / "i.cnf"
+    assert main(args + ["-o", str(cnf)]) == 0
+    assert cnf.read_bytes() == printed.encode()
+
+
 def test_solve_builtin_and_verify_and_render(tmp_path, capsys):
     out = tmp_path / "net.json"
     rc = main(["solve", "4", "3", "5", "--backend", "builtin", "-o", str(out)])

@@ -2,7 +2,9 @@ import hashlib
 
 import pytest
 
+from sortnetsat import encoding
 from sortnetsat.encoding import (
+    ENCODER_VERSION,
     CnfFormula,
     EncodeOptions,
     EncodingError,
@@ -159,30 +161,55 @@ def test_add_refuses_an_empty_clause():
         CnfFormula().add()
 
 
-# (n, d, s, prefix, num_vars, clauses, sha256 of the DIMACS text, sha256 of
-# dump_map or None): the encoder promises byte-identical output, so any change
-# to variable numbering, clause order or the map text shows up here
-PINNED = [
-    (4, 3, 5, None, 378, 2367,
-     "2e27d8ebb4af554f1cf3a9e68b0f2dc97c9647ccbd4daaf09bced8546c53338c",
-     "67a52356410a0761138fcb2af25a7260564c983526da38f520df2d517853df8d"),
-    (6, 5, 12, None, 3459, 36919,
-     "bd306070283d33fc867b492e7f4181944d04d16ac94158e6db420b905a78babe", None),
-    (9, 7, 25, "(0,1221,1221c)", 10644, 127678,
-     "59a9806c08add3561c0ef39d4865476395f120677c621dd3430e61ab637ec13f",
-     "e0b753542f8e511f3fed7aa422db9e01b67e8d3e83e11cf020059c2288416d51"),
-    (11, 8, 35, "(012,12211221c)", 29898, 529774,
-     "a84fb7939c1c28acfda177171208ea101ea43df7a4ad6609ba216fce3fada01c", None),
-]
+# ENCODER_VERSION -> rows of (n, d, s, prefix, options, num_vars, clauses,
+# sha256 of the DIMACS text, sha256 of dump_map or None): the encoder promises
+# byte-identical output, so any change to variable numbering, clause order or
+# the map text shows up here, and must come with a new ENCODER_VERSION (which
+# changes every catalog key) and new rows under it
+ALL_INPUTS_NO_WINDOWS = {"redundant_sorts": False, "only_unsorted": False}
+PINNED = {
+    1: [
+        (4, 3, 5, None, {}, 378, 2367,
+         "2e27d8ebb4af554f1cf3a9e68b0f2dc97c9647ccbd4daaf09bced8546c53338c",
+         "67a52356410a0761138fcb2af25a7260564c983526da38f520df2d517853df8d"),
+        (6, 5, 12, None, {}, 3459, 36919,
+         "bd306070283d33fc867b492e7f4181944d04d16ac94158e6db420b905a78babe", None),
+        (9, 7, 25, "(0,1221,1221c)", {}, 10644, 127678,
+         "59a9806c08add3561c0ef39d4865476395f120677c621dd3430e61ab637ec13f",
+         "e0b753542f8e511f3fed7aa422db9e01b67e8d3e83e11cf020059c2288416d51"),
+        (11, 8, 35, "(012,12211221c)", {}, 29898, 529774,
+         "a84fb7939c1c28acfda177171208ea101ea43df7a4ad6609ba216fce3fada01c", None),
+        # the instance of `sortnetsat solve 10 7 31`
+        (10, 7, 31, None, {}, 90510, 2223520,
+         "66f0cb0340f14f78b49ff8cabae585c4d387dcfd45bf215f68bb7cc76d0597d5",
+         "cbdf2d4c5215c31f601df98ef441b10e9424d767d31067a003afda49550c850f"),
+        # sorted inputs get value chains, and no input gets window clauses
+        (6, 4, 10, None, ALL_INPUTS_NO_WINDOWS, 2707, 29492,
+         "2d93cb7a76398ab7c9fc67012b8a905758948cdcfb938678967b47dce8cff637", None),
+        # d = 2 leaves no free layer: each input is its 2n units
+        (9, 2, 9, "(0,1221,1221c)", {}, 1908, 5319,
+         "e59398cc8d48abc84b89cf15bc80d397e00f061a9280bf760fb2202d3222650f", None),
+    ],
+}
+
+
+def test_encoder_version_is_pinned():
+    assert ENCODER_VERSION in PINNED
+
+
+def test_options_key_names_the_encoder_version():
+    assert EncodeOptions().key().startswith(f"encoder={ENCODER_VERSION},")
 
 
 @pytest.mark.parametrize(
-    "n,d,s,prefix,num_vars,num_clauses,dimacs_sha,map_sha",
-    PINNED,
-    ids=[f"{n}-{d}-{s}" for n, d, s, *_ in PINNED],
+    "n,d,s,prefix,options,num_vars,num_clauses,dimacs_sha,map_sha",
+    PINNED.get(ENCODER_VERSION, []),
+    ids=[f"{n}-{d}-{s}" for n, d, s, *_ in PINNED.get(ENCODER_VERSION, [])],
 )
-def test_pinned_encoder_output(n, d, s, prefix, num_vars, num_clauses, dimacs_sha, map_sha):
-    formula, vm = build_instance(n, d, s, EncodeOptions().with_prefix(prefix))
+def test_pinned_encoder_output(
+    n, d, s, prefix, options, num_vars, num_clauses, dimacs_sha, map_sha
+):
+    formula, vm = build_instance(n, d, s, EncodeOptions(**options).with_prefix(prefix))
     assert (formula.num_vars, len(formula.clauses)) == (num_vars, num_clauses)
     assert hashlib.sha256(emit_dimacs(formula).encode()).hexdigest() == dimacs_sha
     if map_sha is not None:
@@ -190,6 +217,38 @@ def test_pinned_encoder_output(n, d, s, prefix, num_vars, num_clauses, dimacs_sh
         roles = {line.split(" ", 1)[0] for line in dump.splitlines()}
         assert roles == {"g", "v", "used", "oneDown", "oneUp", "card"}
         assert hashlib.sha256(dump.encode()).hexdigest() == map_sha
+
+
+def _encode_each_input(vm, formula, inputs, redundant_sorts):
+    """What encode_inputs promises to equal: every input encoded clause by
+    clause, in turn."""
+    for x in inputs:
+        vm.register_input(x)
+    for x in inputs:
+        encode_sorts(vm, formula, x)
+        if redundant_sorts and not is_sorted_bits(x):
+            encode_redundant_sorts(vm, formula, x)
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{}, {"redundant_sorts": False}, {"only_unsorted": False}, ALL_INPUTS_NO_WINDOWS],
+    ids=["default", "no-windows", "all-inputs", "all-inputs-no-windows"],
+)
+def test_templates_match_encoding_each_input(monkeypatch, options):
+    points = [(n, d, None) for n in (2, 3, 5, 6) for d in (1, 2, 4)]
+    points += [(6, d, "(0,0,12)") for d in (2, 3, 5)]
+    points += [(7, d, "(0,1221c)") for d in (2, 4)]
+    points += [(2, 2, "(12)"), (2, 3, "(12)")]  # no prefix output is left unsorted
+    for n, d, prefix in points:
+        opts = EncodeOptions(**options).with_prefix(prefix)
+        fast, fast_vm = build_instance(n, d, n + 1, opts)
+        with monkeypatch.context() as m:
+            m.setattr(encoding, "encode_inputs", _encode_each_input)
+            ref, ref_vm = build_instance(n, d, n + 1, opts)
+        assert fast.num_vars == ref.num_vars, (n, d, prefix)
+        assert fast.clauses == ref.clauses, (n, d, prefix)
+        assert fast_vm.dump_map() == ref_vm.dump_map(), (n, d, prefix)
 
 
 def test_map_dump_mentions_roles():

@@ -1,5 +1,7 @@
 import json
+import multiprocessing
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -96,6 +98,29 @@ def test_catalog_skips_corrupt_lines(tmp_path):
     with pytest.warns(UserWarning):
         cat = ResultCatalog(path)
     assert len(cat._index) == 1
+
+
+def _append_records(path, offset, count):
+    catalog = ResultCatalog(path)
+    for s in range(offset, offset + count):
+        # longer than a pipe buffer or a stdio buffer, so that a split write shows
+        catalog.put(SearchResult(2, 1, s, None, "k", UNSAT, None, 0.1, "x" * 9000))
+
+
+def test_two_processes_append_whole_records_to_one_catalog(tmp_path):
+    path = tmp_path / "cat.jsonl"
+    ctx = multiprocessing.get_context("fork")
+    writers = [ctx.Process(target=_append_records, args=(path, k * 300, 300)) for k in (0, 1)]
+    for w in writers:
+        w.start()
+    for w in writers:
+        w.join()
+    assert [w.exitcode for w in writers] == [0, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        catalog = ResultCatalog(path)
+    assert len(path.read_text().splitlines()) == 600
+    assert {res.s for res in catalog._index.values()} == set(range(600))
 
 
 def test_warm_catalog_skips_solver_calls(builtin_cfg, catalog, tmp_path):

@@ -1,3 +1,4 @@
+import io
 import random
 import shutil
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sortnetsat import csolver
+from sortnetsat import csolver, solving
 from sortnetsat.dpll import solve_clauses
 from sortnetsat.encoding import CnfFormula, build_instance
 from sortnetsat.networks import is_sorting_network
@@ -21,6 +22,7 @@ from sortnetsat.solving import (
     emit_dimacs,
     parse_solver_output,
     solve,
+    write_dimacs,
 )
 
 
@@ -50,17 +52,44 @@ def _reference_dimacs(f):
     )
 
 
-def test_emit_dimacs_matches_reference_on_random_formulas():
+def _random_formulas():
     rng = random.Random(4)
-    assert emit_dimacs(CnfFormula(5)) == _reference_dimacs(CnfFormula(5))
     for _ in range(200):
         nv = rng.randint(1, 40)
         clauses = [
             tuple(rng.choice([-1, 1]) * rng.randint(1, nv) for _ in range(rng.randint(1, 12)))
             for _ in range(rng.randint(0, 30))
         ]
-        f = formula(nv, clauses)
+        yield formula(nv, clauses)
+
+
+def test_emit_dimacs_matches_reference_on_random_formulas():
+    assert emit_dimacs(CnfFormula(5)) == _reference_dimacs(CnfFormula(5))
+    for f in _random_formulas():
         assert emit_dimacs(f) == _reference_dimacs(f)
+
+
+def _written(f):
+    out = io.StringIO()
+    write_dimacs(f, out)
+    return out.getvalue()
+
+
+def test_write_dimacs_matches_reference_across_chunks(monkeypatch):
+    monkeypatch.setattr(solving, "DIMACS_CHUNK", 3)
+    assert _written(CnfFormula(5)) == _reference_dimacs(CnfFormula(5))
+    for f in _random_formulas():
+        assert _written(f) == _reference_dimacs(f)
+    # the second chunk holds longer clauses than the first
+    f = formula(9, [(1,), (-2,), (3,), (1, 2), (-4, 5, 6), (7, -8, 9, 1, 2)])
+    assert _written(f) == _reference_dimacs(f)
+
+
+def test_write_dimacs_checks_the_last_chunk(monkeypatch):
+    monkeypatch.setattr(solving, "DIMACS_CHUNK", 2)
+    f = formula(3, [(1, 2), (3,), (-1, -3), (2,), (-4, 1)])
+    with pytest.raises(ValueError):
+        _written(f)
 
 
 def test_check_model_scans_every_clause():
