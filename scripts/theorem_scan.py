@@ -4,10 +4,13 @@
 Each job solves one (n, d, s) level for every prefix in R(T'_n), reporting
 per-prefix status in prefix order and the aggregate verdict (SAT = some prefix
 extends, UNSAT = none does, which proves the bound).  Progress is checkpointed
-in the catalog so the scan can be interrupted and resumed.
+in the catalog so the scan can be interrupted and resumed.  A prefix that a
+record at other bounds already settles (an UNSAT at bounds no smaller, a
+witness that fits) is not solved again; its line reads "implied by d=D s=S".
 
 Examples:
     python scripts/theorem_scan.py 10 7 30            # ~3 min on 2 cores
+    python scripts/theorem_scan.py 10 7 29            # after 10 7 30: no solve
     python scripts/theorem_scan.py 11 8 35 --jobs 2   # hours
     python scripts/theorem_scan.py 11 9 34 --timeout 86400   # days
 """
@@ -46,17 +49,20 @@ def main() -> int:
     def report(res):
         k = next(done)
         eta = (time.monotonic() - start) / k * (len(prefixes) - k)
+        how = (f"implied by d={res.implied_by[0]} s={res.implied_by[1]}" if res.implied_by
+               else f"{res.wall_time:.1f}s")
         print(f"[{k}/{len(prefixes)}] {format_sentence(res.prefix)}: {res.status} "
-              f"({res.wall_time:.1f}s, eta {eta:.0f}s)", flush=True)
+              f"({how}, eta {eta:.0f}s)", flush=True)
 
     level = run_level(args.n, args.d, args.s, prefixes, config=config,
                       catalog=ResultCatalog(args.catalog), jobs=args.jobs,
                       stop_on_sat=False, on_result=report)
 
     statuses = [r.status for r in level.results]
+    implied = sum(r.implied_by is not None for r in level.results)
     print(f"\ntotal {time.monotonic() - start:.0f}s: "
           f"{statuses.count(SAT)} SAT, {statuses.count(UNSAT)} UNSAT, "
-          f"{statuses.count(UNKNOWN)} UNKNOWN")
+          f"{statuses.count(UNKNOWN)} UNKNOWN; {implied} implied by other records")
     if level.witnesses():
         print("witness prefixes:")
         for r in level.witnesses():

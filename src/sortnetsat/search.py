@@ -4,6 +4,12 @@ A claim is only marked proven when every required instance returned a real
 answer; any UNKNOWN (timeout) downgrades it to an unproven bound, never to
 evidence.  With a prefix set, SAT means "some prefix extends", UNSAT means
 "every prefix refuses" -- which is a proof because the set is complete.
+
+An instance (n, d, s, prefix, options) is satisfiable exactly when some
+network with at most d layers and at most s comparators extends the prefix
+(the optional constraint families never change that).  So one UNSAT settles
+every instance with smaller bounds, and one witness every instance with larger
+ones; the catalog answers a task from any record that settles it.
 """
 
 from __future__ import annotations
@@ -50,8 +56,11 @@ class SearchResult:
     wall_time: float
     solver: str = ""
     # seconds per stage of the solve that produced this result: encode_s,
-    # solve_s, verify_s; empty for records written before they were kept
+    # solve_s, verify_s; empty for records written before they were kept and
+    # for derived answers
     timings: dict[str, float] = field(default_factory=dict)
+    # (d, s) of the catalog record that settled this task without a solve
+    implied_by: tuple[int, int] | None = None
 
     def record(self) -> dict:
         return {
@@ -65,6 +74,7 @@ class SearchResult:
             "wall_time": round(self.wall_time, 4),
             "solver": self.solver,
             "timings": {k: round(v, 4) for k, v in self.timings.items()},
+            "implied_by": list(self.implied_by) if self.implied_by else None,
         }
 
     @classmethod
@@ -73,19 +83,40 @@ class SearchResult:
         if rec.get("network"):
             net = Network.make(rec["network"]["n"], rec["network"]["layers"])
         prefix = parse_sentence(rec["prefix"]) if rec.get("prefix") else None
+        implied_by = tuple(rec["implied_by"]) if rec.get("implied_by") else None
         return cls(
             rec["n"], rec["d"], rec["s"], prefix, rec["options"], rec["status"],
             net, rec.get("wall_time", 0.0), rec.get("solver", ""), rec.get("timings", {}),
+            implied_by,
         )
 
 
-class ResultCatalog:
-    """Append-only JSON-lines store keyed by (n, d, s, prefix, options)."""
+def _fits(net: Network | None, n: int, d: int, s: int) -> bool:
+    """Whether ``net`` is an n-channel network within d layers and s comparators."""
+    if net is None or net.n != n:
+        return False
+    net = net.trimmed()
+    return net.size <= s and net.depth <= d
 
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._index: dict[tuple, SearchResult] = {}
-        if self.path.exists():
+
+def _settles(rec: SearchResult, d: int, s: int) -> bool:
+    """Whether ``rec`` answers its instance at bounds (d, s): an UNSAT at
+    bounds no smaller, or a SAT whose witness fits them.  UNKNOWN settles
+    nothing."""
+    if rec.status == UNSAT:
+        return rec.d >= d and rec.s >= s
+    return rec.status == SAT and _fits(rec.network, rec.n, d, s)
+
+
+class ResultCatalog:
+    """Append-only JSON-lines store of answered tasks, indexed by instance:
+    (n, prefix, options key), in catalog order.  With ``path`` None the
+    records are kept in memory only."""
+
+    def __init__(self, path: str | Path | None):
+        self.path = Path(path) if path is not None else None
+        self._index: dict[tuple, list[SearchResult]] = {}
+        if self.path is not None and self.path.exists():
             for lineno, line in enumerate(self.path.read_text().splitlines(), 1):
                 if not line.strip():
                     continue
@@ -94,17 +125,34 @@ class ResultCatalog:
                 except (json.JSONDecodeError, KeyError, ValueError) as exc:
                     warnings.warn(f"{self.path}:{lineno}: skipping corrupt record ({exc})")
                     continue
-                self._index[self._key(res)] = res
+                self._index.setdefault(self._key(res), []).append(res)
 
     @staticmethod
     def _key(res: SearchResult) -> tuple:
-        return (res.n, res.d, res.s, res.prefix, res.options_key)
+        return (res.n, res.prefix, res.options_key)
 
     def get(self, task: SearchTask) -> SearchResult | None:
-        key = (task.n, task.d, task.s, task.prefix, task.effective_options().key())
-        return self._index.get(key)
+        """The record that settles ``task`` (see ``_settles``): the task's own
+        record when one settles it, else the first in catalog order.  When
+        none does, the task's own last record (an UNKNOWN, say), else None."""
+        records = self._index.get((task.n, task.prefix, task.effective_options().key()), [])
+        own = [r for r in records if (r.d, r.s) == (task.d, task.s)]
+        return next(
+            (r for r in own + records if _settles(r, task.d, task.s)),
+            own[-1] if own else None,
+        )
 
     def put(self, res: SearchResult) -> None:
+        """Record ``res``; a record the catalog already holds (a reused answer)
+        is not recorded again."""
+        records = self._index.setdefault(self._key(res), [])
+        if any(r is res for r in records):
+            return
+        if self.path is not None:
+            self._append(res)
+        records.append(res)
+
+    def _append(self, res: SearchResult) -> None:
         # one write of the whole line on an O_APPEND descriptor: processes
         # sharing the file never interleave parts of their records
         line = (json.dumps(res.record()) + "\n").encode()
@@ -115,22 +163,38 @@ class ResultCatalog:
             os.close(fd)
         if written != len(line):
             raise OSError(f"{self.path}: wrote {written} of {len(line)} bytes of a record")
-        self._index[self._key(res)] = res
 
 
 def cached_result(task: SearchTask, catalog: ResultCatalog | None) -> SearchResult | None:
     """The catalog's answer to ``task`` when it may be reused, else None.
 
-    Cached UNKNOWNs are re-solved, never reused; SAT witnesses are re-verified
-    before being trusted.
+    Cached UNKNOWNs are re-solved, never reused; SAT witnesses are re-checked
+    against the task's channels and bounds and re-verified before being
+    trusted.  A record at other bounds gives a derived answer for the task's
+    own (d, s), with ``implied_by`` set, no timings and a witness padded with
+    empty layers to d layers, as ``decode_network`` returns it.
     """
     hit = catalog.get(task) if catalog is not None else None
     if hit is None or hit.status not in (SAT, UNSAT):
         return None
-    if hit.status == SAT and (hit.network is None or not is_sorting_network(hit.network)):
-        warnings.warn("catalog SAT record failed re-verification; re-solving")
+    if hit.status == SAT and not (
+        _fits(hit.network, task.n, task.d, task.s) and is_sorting_network(hit.network)
+    ):
+        warnings.warn(
+            f"catalog SAT record at (n={hit.n}, d={hit.d}, s={hit.s}) does not fit "
+            f"(n={task.n}, d={task.d}, s={task.s}) or does not sort; re-solving"
+        )
         return None
-    return hit
+    if (hit.d, hit.s) == (task.d, task.s):
+        return hit
+    network = None
+    if hit.network is not None:
+        layers = hit.network.trimmed().layers
+        network = Network(task.n, layers + ((),) * (task.d - len(layers)))
+    return SearchResult(
+        task.n, task.d, task.s, task.prefix, hit.options_key, hit.status, network,
+        0.0, hit.solver, {}, (hit.d, hit.s),
+    )
 
 
 def run_task(
@@ -139,9 +203,12 @@ def run_task(
     solve_fn: Callable[..., SolveOutcome] = solve,
 ) -> SearchResult:
     """Solve one (n, d, s, prefix) instance, reusing catalog answers
-    (see ``cached_result``) and recording the answer in the catalog."""
+    (see ``cached_result``) and recording the answer, solved or derived, in
+    the catalog."""
     hit = cached_result(task, catalog)
     if hit is not None:
+        if catalog is not None:
+            catalog.put(hit)
         return hit
     t0 = time.perf_counter()
     formula, vm = build_instance(task.n, task.d, task.s, task.effective_options())
@@ -228,10 +295,10 @@ def run_level(
     The calling process answers what it can from ``catalog`` (see
     ``cached_result``) and sends the other tasks to the workers, which encode,
     solve, decode and verify them; only the calling process writes the
-    catalog, one record per solved task in task order.  With ``stop_on_sat``
-    the tasks run in consecutive batches of ``jobs`` and the level stops after
-    the first batch that holds a SAT, so which tasks get solved does not
-    depend on timing; without it every task is solved.  ``on_result`` sees
+    catalog, one record per solved or derived answer in task order.  With
+    ``stop_on_sat`` the tasks run in consecutive batches of ``jobs`` and the
+    level stops after the first batch that holds a SAT, so which tasks get
+    solved does not depend on timing; without it every task is solved.  ``on_result`` sees
     each result in the calling thread, in task order.  ``solve_fn`` is sent to
     the workers, so it must be picklable: a module-level function or an
     instance of a module-level class.
@@ -262,7 +329,7 @@ def run_level(
             solved = pool.map(run_task, misses, repeat(None), repeat(solve_fn))
             for hit in hits:
                 res = hit if hit is not None else next(solved)
-                if hit is None and catalog is not None:
+                if catalog is not None:
                     catalog.put(res)
                 results.append(res)
                 if on_result is not None:
@@ -303,10 +370,15 @@ def optimize(
     * ``min_depth_given_size``: smallest d admitting one with at most ``size``
       comparators, ascending.
     * ``pareto``: the (d, s) frontier starting at the minimal feasible depth.
+
+    Without a ``catalog`` the answers are kept in memory, so that later
+    levels still reuse them.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     pool = _prefix_pool(n, prefixes)
+    if catalog is None:
+        catalog = ResultCatalog(None)
 
     def level(d: int, s: int, stop_on_sat: bool = True) -> LevelOutcome:
         return run_level(

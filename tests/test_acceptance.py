@@ -20,7 +20,7 @@ from sortnetsat.networks import (
     permute_untangle,
     reflect,
 )
-from sortnetsat.search import SearchTask, run_level, run_task
+from sortnetsat.search import ResultCatalog, SearchTask, run_level, run_task
 from sortnetsat.solving import SAT, UNSAT, SolverConfig, decode_network, solve
 from sortnetsat.words import (
     count_prefixes,
@@ -199,22 +199,35 @@ def test_criterion_7_eleven_channels_optimum_35(external_cfg):
 
 
 @pytest.mark.extended
-def test_criterion_7_eleven_channels_34_impossible_to_depth_9(external_cfg):
+def test_criterion_7_eleven_channels_34_impossible_to_depth_9(external_cfg, tmp_path):
     cfg = SolverConfig("external", external_cfg.command, timeout=86400)
-    level = run_level(11, 9, 34, generate_prefixes(11, "T'").sentences, config=cfg,
+    catalog = ResultCatalog(tmp_path / "n11.jsonl")
+    prefixes = generate_prefixes(11, "T'").sentences
+    level = run_level(11, 9, 34, prefixes, config=cfg, catalog=catalog,
                       jobs=2, stop_on_sat=False)
     assert level.status == UNSAT, {r.status for r in level.results}
+    # "8 or 9 layers": every (11,9,34) refusal settles (11,8,34) without a solve
+    shallower = run_level(11, 8, 34, prefixes, config=cfg, catalog=catalog,
+                          jobs=2, stop_on_sat=False)
+    assert shallower.status == UNSAT
+    assert all(r.implied_by == (9, 34) for r in shallower.results)
 
 
 @pytest.mark.extended
-def test_criterion_7_twelve_channels_depth_eight(external_cfg):
+def test_criterion_7_twelve_channels_depth_eight(external_cfg, tmp_path):
     cfg = SolverConfig("external", external_cfg.command, timeout=86400)
+    catalog = ResultCatalog(tmp_path / "n12.jsonl")
     prefixes = generate_prefixes(12, "T'").sentences
-    level = run_level(12, 8, 40, prefixes, config=cfg, jobs=2, stop_on_sat=False)
+    level = run_level(12, 8, 40, prefixes, config=cfg, catalog=catalog,
+                      jobs=2, stop_on_sat=False)
     assert all(r.status in (SAT, UNSAT) for r in level.results)
     assert len(level.witnesses()) == 4, sorted(r.prefix for r in level.witnesses())
-    lower = run_level(12, 8, 39, prefixes, config=cfg, jobs=2, stop_on_sat=False)
+    # the (12,8,40) refusals settle (12,8,39): only the witness prefixes are solved
+    lower = run_level(12, 8, 39, prefixes, config=cfg, catalog=catalog,
+                      jobs=2, stop_on_sat=False)
     assert lower.status == UNSAT, {r.status for r in lower.results}
+    solved = {r.prefix for r in lower.results if r.implied_by is None}
+    assert solved == {r.prefix for r in level.witnesses()}
 
 
 @pytest.mark.extended

@@ -6,13 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from sortnetsat.encoding import EncodeOptions
+from sortnetsat.encoding import ENCODER_VERSION, EncodeOptions
 from sortnetsat.networks import Network
 from sortnetsat.search import (
     OptimalityClaim,
     ResultCatalog,
     SearchResult,
     SearchTask,
+    cached_result,
     optimize,
     run_level,
     run_task,
@@ -120,7 +121,8 @@ def test_two_processes_append_whole_records_to_one_catalog(tmp_path):
         warnings.simplefilter("error")
         catalog = ResultCatalog(path)
     assert len(path.read_text().splitlines()) == 600
-    assert {res.s for res in catalog._index.values()} == set(range(600))
+    loaded = [res.s for records in catalog._index.values() for res in records]
+    assert sorted(loaded) == list(range(600))
 
 
 def test_warm_catalog_skips_solver_calls(builtin_cfg, catalog, tmp_path):
@@ -248,3 +250,149 @@ def test_claim_summary_format():
     claim = OptimalityClaim(10, "min_size_given_depth", 7, 31, True)
     assert "n=10" in claim.summary() and "31" in claim.summary()
     assert "proven" in claim.summary()
+
+
+# a 4-channel sorting network of depth 3 and size 5, the (4,3,5) optimum
+SORTER_4 = Network.make(4, [[(1, 2), (3, 4)], [(1, 3), (2, 4)], [(2, 3)]])
+# the same comparators one layer deeper
+DEEP_SORTER_4 = Network.make(4, [[(1, 2), (3, 4)], [(1, 3)], [(2, 4)], [(2, 3)]])
+SORTER_3 = Network.make(3, [[(1, 2)], [(2, 3)], [(1, 2)]])
+P0, P1 = generate_prefixes(4, "T'").sentences[:2]
+
+
+def _task(d, s, prefix=P0, options=None, config=None):
+    return SearchTask(4, d, s, prefix, options or EncodeOptions(), config or SolverConfig())
+
+
+def _record(d, s, status=UNSAT, network=None, prefix=P0, key=None):
+    key = key or EncodeOptions().with_prefix(prefix).key()
+    return SearchResult(4, d, s, prefix, key, status, network, 0.1, "hand")
+
+
+def _memory_catalog(*records):
+    catalog = ResultCatalog(None)
+    for rec in records:
+        catalog.put(rec)
+    return catalog
+
+
+def test_catalog_sat_hit_is_checked_against_the_task_bounds(builtin_cfg, catalog, tmp_path):
+    # a valid 5-comparator sorter filed as the answer to (4,3,4)
+    catalog.put(_record(3, 4, SAT, SORTER_4, prefix=None))
+    counter = CountingSolver(tmp_path / "calls")
+    task = SearchTask(4, 3, 4, config=builtin_cfg)
+    with pytest.warns(UserWarning, match="does not fit"):
+        res = run_task(task, catalog, counter)
+    assert counter.calls == 1 and res.status == UNSAT and res.implied_by is None
+    assert catalog.get(task) is res  # the new answer settles the next lookup
+
+
+def test_catalog_sat_hit_is_checked_against_the_task_channels(builtin_cfg, catalog, tmp_path):
+    # a 3-channel sorter fits the bounds of (4,3,5) but sorts too few channels
+    catalog.put(_record(3, 5, SAT, SORTER_3, prefix=None))
+    counter = CountingSolver(tmp_path / "calls")
+    with pytest.warns(UserWarning, match="does not fit"):
+        res = run_task(SearchTask(4, 3, 5, config=builtin_cfg), catalog, counter)
+    assert counter.calls == 1 and res.status == SAT and res.network.n == 4
+
+
+def test_optimize_without_a_catalog_reuses_its_own_answers(builtin_cfg, tmp_path):
+    calls = []
+    for catalog in (None, ResultCatalog(tmp_path / "cat.jsonl")):
+        counter = CountingSolver(tmp_path / "calls")
+        claim = optimize(4, "min_size_given_depth", depth=3, config=builtin_cfg,
+                         prefixes="tprime", catalog=catalog, solve_fn=counter)
+        assert claim.proven and claim.value == 5
+        calls.append(counter.calls)
+    assert calls[0] == calls[1]
+
+
+def test_dominating_unsat_answers_once_and_is_recorded(catalog, tmp_path):
+    catalog.put(_record(4, 6))
+    counter = CountingSolver(tmp_path / "calls")
+    task = _task(3, 4)
+    res = run_task(task, catalog, counter)
+    assert counter.calls == 0
+    assert (res.d, res.s, res.status, res.implied_by) == (3, 4, UNSAT, (4, 6))
+    assert res.wall_time == 0 and res.timings == {}
+    assert run_task(task, catalog, counter) is res  # the exact record now
+    reloaded = ResultCatalog(catalog.path).get(task)
+    assert (reloaded.d, reloaded.s, reloaded.implied_by) == (3, 4, (4, 6))
+    assert len(catalog.path.read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize(
+    "record, task",
+    [
+        (_record(5, 9, UNKNOWN), _task(3, 4)),
+        (_record(4, 3), _task(3, 4)),  # UNSAT at a smaller s
+        (_record(2, 9), _task(3, 4)),  # UNSAT at a smaller d
+        (_record(3, 5, SAT, SORTER_4, prefix=None), _task(3, 4, prefix=None)),
+        (_record(4, 5, SAT, DEEP_SORTER_4, prefix=None), _task(3, 6, prefix=None)),
+        (_record(5, 9, key=EncodeOptions(sigma1=False).with_prefix(P0).key()), _task(3, 4)),
+        (_record(5, 9, prefix=P1), _task(3, 4)),
+        (_record(5, 9, key=EncodeOptions().with_prefix(P0).key().replace(
+            f"encoder={ENCODER_VERSION},", f"encoder={ENCODER_VERSION - 1},")), _task(3, 4)),
+    ],
+    ids=["unknown", "smaller-s", "smaller-d", "witness-too-large", "witness-too-deep",
+         "other-options", "other-prefix", "other-encoder"],
+)
+def test_records_that_do_not_settle_a_task(record, task):
+    catalog = _memory_catalog(record)
+    assert catalog.get(task) is None
+    assert cached_result(task, catalog) is None
+
+
+def test_witness_from_a_shallower_record_is_padded_to_the_task_depth():
+    catalog = _memory_catalog(_record(3, 5, SAT, SORTER_4, prefix=None))
+    res = cached_result(_task(5, 7, prefix=None), catalog)
+    assert (res.status, res.implied_by) == (SAT, (3, 5))
+    assert res.network.depth == 5 and res.network.layers[3:] == ((), ())
+    assert res.network.trimmed() == SORTER_4
+
+
+def test_witness_from_a_deeper_record_is_trimmed_to_the_task_depth():
+    padded = Network(4, SORTER_4.layers + ((), ()))
+    catalog = _memory_catalog(_record(5, 9, SAT, padded, prefix=None))
+    res = cached_result(_task(3, 5, prefix=None), catalog)
+    assert (res.status, res.implied_by, res.network) == (SAT, (5, 9), SORTER_4)
+
+
+def test_first_settling_record_in_catalog_order_wins():
+    deep, wide = _record(4, 6), _record(3, 5)
+    assert cached_result(_task(3, 4), _memory_catalog(deep, wide)).implied_by == (4, 6)
+    assert cached_result(_task(3, 4), _memory_catalog(wide, deep)).implied_by == (3, 5)
+    own = _record(3, 4)
+    assert cached_result(_task(3, 4), _memory_catalog(deep, own)) is own
+
+
+def test_records_with_and_without_implied_by_survive_a_reload(catalog):
+    solved = _record(4, 6)
+    catalog.put(solved)
+    derived = cached_result(_task(3, 4), catalog)
+    catalog.put(derived)
+    old = _record(4, 6, prefix=P1).record()
+    del old["implied_by"]
+    with catalog.path.open("a") as fh:
+        fh.write(json.dumps(old) + "\n")
+    reloaded = ResultCatalog(catalog.path)
+    assert [r.implied_by for r in reloaded._index[(4, P0, solved.options_key)]] == [None, (4, 6)]
+    assert reloaded.get(_task(4, 6, prefix=P1)).implied_by is None
+
+
+def test_derived_answers_match_direct_solves(builtin_cfg):
+    """Every level of a sweep over T'_4, answered from one catalog where it
+    can be, gives the statuses of solving each task on its own."""
+    prefixes = generate_prefixes(4, "T'").sentences
+    catalog = ResultCatalog(None)
+    derived = 0
+    for d, s in [(4, 6), (3, 6), (4, 5), (3, 5), (3, 4), (2, 6), (2, 4), (4, 4)]:
+        out = run_level(4, d, s, prefixes, config=builtin_cfg, catalog=catalog,
+                        stop_on_sat=False)
+        for res in out.results:
+            direct = run_task(SearchTask(4, d, s, res.prefix, config=builtin_cfg))
+            assert res.status == direct.status, (d, s, res.prefix, res.implied_by)
+            derived += res.implied_by is not None
+            if res.status == SAT:
+                assert res.network.depth == d and res.network.size <= s
+    assert derived > 0

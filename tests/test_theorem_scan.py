@@ -7,14 +7,17 @@ from sortnetsat.solving import SOLVER_ENV_VAR
 from sortnetsat.words import format_sentence, generate_prefixes
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "theorem_scan.py"
-PROGRESS = re.compile(r"\[(\d+)/(\d+)\] (\S+): (SAT|UNSAT|UNKNOWN) \(\d+\.\d+s, eta \d+s\)")
+PROGRESS = re.compile(
+    r"\[(\d+)/(\d+)\] (\S+): (SAT|UNSAT|UNKNOWN) "
+    r"\((?:\d+\.\d+s|implied by d=(\d+) s=(\d+)), eta \d+s\)"
+)
 
 
-def _scan(monkeypatch, capsys, catalog: Path) -> tuple[int, str]:
+def _scan(monkeypatch, capsys, catalog: Path, level=("4", "3", "4")) -> tuple[int, str]:
     spec = importlib.util.spec_from_file_location("theorem_scan", SCRIPT)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    monkeypatch.setattr("sys.argv", [str(SCRIPT), "4", "3", "4", "--jobs", "2",
+    monkeypatch.setattr("sys.argv", [str(SCRIPT), *level, "--jobs", "2",
                                      "--catalog", str(catalog)])
     rc = mod.main()
     return rc, capsys.readouterr().out
@@ -53,3 +56,28 @@ def test_theorem_scan_proves_a_level_and_resumes(external_cfg, tmp_path, monkeyp
     assert len(resumed) == len(lines)  # only the two missing prefixes were solved
     assert sorted(_prefixes(resumed[-2:])) == sorted(_prefixes(lines[-2:]))
     assert len(_progress(out)) == len(expected)
+
+
+def test_theorem_scan_solves_only_what_a_larger_level_leaves_open(
+    external_cfg, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.delenv(SOLVER_ENV_VAR, raising=False)  # the bundled solver
+    catalog = tmp_path / "scan.jsonl"
+    rc, out = _scan(monkeypatch, capsys, catalog, ("4", "3", "5"))
+    assert rc == 0 and "verdict: SAT" in out
+    above = [json.loads(line) for line in catalog.read_text().splitlines()]
+    witnesses = {r["prefix"] for r in above if r["status"] == "SAT"}
+    assert witnesses and len(witnesses) < len(above)
+
+    rc, out = _scan(monkeypatch, capsys, catalog, ("4", "3", "4"))
+    assert rc == 0 and "verdict: UNSAT" in out
+    below = [json.loads(line) for line in catalog.read_text().splitlines()][len(above):]
+    assert len(below) == len(above)
+    solved = {r["prefix"] for r in below if r["implied_by"] is None}
+    assert solved == witnesses  # only the prefixes that were SAT at s=5
+    assert all(r["implied_by"] == [3, 5] and not r["timings"]
+               for r in below if r["prefix"] not in witnesses)
+    implied = [m for m in _progress(out) if m[5] is not None]
+    assert sorted(m[3] for m in implied) == sorted(set(r["prefix"] for r in above) - witnesses)
+    assert all((m[5], m[6], m[4]) == ("3", "5", "UNSAT") for m in implied)
+    assert f"{len(implied)} implied by other records" in out
