@@ -207,8 +207,7 @@ def run_task(
     the catalog."""
     hit = cached_result(task, catalog)
     if hit is not None:
-        if catalog is not None:
-            catalog.put(hit)
+        catalog.put(hit)  # writes a derived answer; a reused record stays as it is
         return hit
     t0 = time.perf_counter()
     formula, vm = build_instance(task.n, task.d, task.s, task.effective_options())
