@@ -49,10 +49,8 @@ def main() -> int:
     def report(res):
         k = next(done)
         eta = (time.monotonic() - start) / k * (len(prefixes) - k)
-        how = (f"implied by d={res.implied_by[0]} s={res.implied_by[1]}" if res.implied_by
-               else f"{res.wall_time:.1f}s")
         print(f"[{k}/{len(prefixes)}] {format_sentence(res.prefix)}: {res.status} "
-              f"({how}, eta {eta:.0f}s)", flush=True)
+              f"({res.how(1)}, eta {eta:.0f}s)", flush=True)
 
     level = run_level(args.n, args.d, args.s, prefixes, config=config,
                       catalog=ResultCatalog(args.catalog), jobs=args.jobs,

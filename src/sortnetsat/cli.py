@@ -17,12 +17,11 @@ from sortnetsat.encoding import EncodeOptions, build_instance
 from sortnetsat.networks import Network, is_sorting_network
 from sortnetsat.render import render_svg
 from sortnetsat.search import ResultCatalog, optimize, run_task, SearchTask
-from sortnetsat.solving import SAT, SolverConfig, default_config, solve, write_dimacs
+from sortnetsat.solving import SAT, UNSAT, SolverConfig, default_config, write_dimacs
 from sortnetsat.words import (
     count_prefixes,
     format_sentence,
     generate_prefixes,
-    parse_sentence,
 )
 
 
@@ -80,22 +79,17 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    task = SearchTask(
-        args.n, args.d, args.s,
-        prefix=parse_sentence(args.prefix) if args.prefix else None,
-        options=_encode_options(args).with_prefix(None),
-        config=_solver_config(args),
-    )
+    task = SearchTask(args.n, args.d, args.s, _encode_options(args), _solver_config(args))
     catalog = ResultCatalog(args.catalog) if args.catalog else None
     res = run_task(task, catalog)
-    print(f"status: {res.status} ({res.solver}, {res.wall_time:.2f}s)")
+    print(f"status: {res.status} ({res.solver}, {res.how(2)})")
     if res.network is not None:
         trimmed = res.network.trimmed()
         print(f"witness: size={trimmed.size} depth={trimmed.depth}")
         if args.output:
             Path(args.output).write_text(res.network.to_json() + "\n")
             print(f"wrote witness to {args.output}")
-    return 0 if res.status in (SAT, "UNSAT") else 3
+    return 0 if res.status in (SAT, UNSAT) else 3
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:

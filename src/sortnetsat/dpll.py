@@ -1,9 +1,9 @@
 """A small built-in DPLL solver so the test suite runs with no external tools.
 
 Watched-literal unit propagation, chronological backtracking, branching on the
-first unassigned variable.  Comparator-placement variables carry the lowest
-ids in our encodings, so this effectively enumerates candidate networks and
-lets propagation fill in the rest.  Adequate for small instances; anything
+first unassigned variable, false first.  Comparator-placement variables carry
+the lowest ids in our encodings, so this effectively enumerates candidate
+networks and lets propagation fill in the rest.  Adequate for small instances; anything
 serious should go through an external CDCL solver.
 """
 
@@ -16,7 +16,6 @@ def solve_clauses(
     num_vars: int,
     clauses: list[tuple[int, ...]],
     deadline: float | None = None,
-    phase: bool = False,
 ) -> tuple[str, dict[int, bool] | None]:
     """Returns ("SAT", model) / ("UNSAT", None) / ("UNKNOWN", None)."""
     values = [0] * (num_vars + 1)  # 0 unknown, 1 true, -1 false
@@ -107,7 +106,6 @@ def solve_clauses(
 
     decisions: list[tuple[int, int, bool]] = []  # (trail mark, lit, second try)
     next_var = 1
-    first_lit = 1 if phase else -1
     steps = 0
     while True:
         steps += 1
@@ -117,7 +115,7 @@ def solve_clauses(
             next_var += 1
         if next_var > num_vars:
             return "SAT", {v: values[v] > 0 for v in range(1, num_vars + 1)}
-        lit = first_lit * next_var
+        lit = -next_var
         mark = len(trail)
         decisions.append((mark, lit, False))
         assign(lit)

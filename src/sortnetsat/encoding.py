@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from operator import itemgetter, neg
+from typing import Iterable
 
 from sortnetsat import cardinality
 from sortnetsat.networks import Bits, Network, all_inputs, is_sorted_bits, unsorted_outputs
@@ -101,9 +102,7 @@ class VarMap:
         self._next = 0
         self._g: dict[tuple[int, int, int], int] = {}
         self._base: dict[Bits, int] = {}  # first id of each input's value chain
-        self._used: dict[tuple[int, int], int] = {}
-        self._one_down: dict[tuple[int, int, int], int] = {}
-        self._one_up: dict[tuple[int, int, int], int] = {}
+        self._or: dict[tuple, int] = {}  # (role name, *indices) -> id
         self.inputs: list[Bits] = []
         for k in range(1, d + 1):
             for i in range(1, n + 1):
@@ -144,47 +143,38 @@ class VarMap:
             raise KeyError((x, k, i))
         return self._base[x] + (k - self.start_layer) * self.n + i - 1
 
-    def used(self, k: int, i: int, formula: CnfFormula) -> int:
-        """The channel-used flag used(k,i) <-> OR of incident g(k,.,.);
-        defining clauses are emitted on first request."""
-        key = (k, i)
-        if key not in self._used:
-            var = self.fresh()
-            self._used[key] = var
-            incident = [self.g(k, min(i, o), max(i, o)) for o in range(1, self.n + 1) if o != i]
-            formula.add(-var, *incident)
-            for glit in incident:
+    def _or_of(self, key: tuple, lits: Iterable[int], formula: CnfFormula) -> int:
+        """The variable of role ``key``, defined as the OR of ``lits``; a fresh
+        id and its defining clauses on first request (``lits`` is read only
+        then)."""
+        var = self._or.get(key)
+        if var is None:
+            var = self._or[key] = self.fresh()
+            lits = list(lits)
+            formula.add(-var, *lits)
+            for glit in lits:
                 formula.add(-glit, var)
-        return self._used[key]
+        return var
+
+    def used(self, k: int, i: int, formula: CnfFormula) -> int:
+        """The channel-used flag used(k,i) <-> OR of incident g(k,.,.)."""
+        incident = (self.g(k, min(i, o), max(i, o)) for o in range(1, self.n + 1) if o != i)
+        return self._or_of(("used", k, i), incident, formula)
 
     def one_down(self, k: int, i: int, j: int, formula: CnfFormula) -> int | None:
         """one_down(k,i,j) <-> OR of g(k,i,l) for i < l <= j; None when the
         disjunction is empty (vacuously false)."""
         if j <= i:
             return None
-        key = (k, i, j)
-        if key not in self._one_down:
-            var = self.fresh()
-            self._one_down[key] = var
-            lits = [self.g(k, i, l) for l in range(i + 1, j + 1)]
-            formula.add(-var, *lits)
-            for glit in lits:
-                formula.add(-glit, var)
-        return self._one_down[key]
+        lits = (self.g(k, i, l) for l in range(i + 1, j + 1))
+        return self._or_of(("oneDown", k, i, j), lits, formula)
 
     def one_up(self, k: int, i: int, j: int, formula: CnfFormula) -> int | None:
         """one_up(k,i,j) <-> OR of g(k,l,j) for i <= l < j."""
         if j <= i:
             return None
-        key = (k, i, j)
-        if key not in self._one_up:
-            var = self.fresh()
-            self._one_up[key] = var
-            lits = [self.g(k, l, j) for l in range(i, j)]
-            formula.add(-var, *lits)
-            for glit in lits:
-                formula.add(-glit, var)
-        return self._one_up[key]
+        lits = (self.g(k, l, j) for l in range(i, j))
+        return self._or_of(("oneUp", k, i, j), lits, formula)
 
     def dump_map(self) -> str:
         """Sidecar debugging map, one ``role ... -> id`` line per variable;
@@ -195,14 +185,10 @@ class VarMap:
             for offset, var in enumerate(self.block(x)):
                 k, i = divmod(offset, self.n)
                 roles[var - 1] = f"v {bits} {self.start_layer + k} {i + 1}"
-        for name, table in (
-            ("g", self._g),
-            ("used", self._used),
-            ("oneDown", self._one_down),
-            ("oneUp", self._one_up),
-        ):
-            for key, var in table.items():
-                roles[var - 1] = " ".join((name, *map(str, key)))
+        for key, var in self._g.items():
+            roles[var - 1] = " ".join(map(str, ("g", *key)))
+        for key, var in self._or.items():
+            roles[var - 1] = " ".join(map(str, key))
         return "".join(f"{role} -> {var}\n" for var, role in enumerate(roles, 1))
 
 
@@ -218,17 +204,12 @@ def encode_valid(vm: VarMap, formula: CnfFormula) -> None:
                     formula.add(-vm.g(k, *incident[a]), -vm.g(k, *incident[b]))
 
 
-def encode_sorts(vm: VarMap, formula: CnfFormula, x: Bits, y: Bits | None = None) -> None:
+def encode_sorts(vm: VarMap, formula: CnfFormula, x: Bits) -> None:
     """Value-chain constraints forcing input x to come out as sorted(x)."""
-    expected = tuple(sorted(x))
-    if y is None:
-        y = expected
-    elif tuple(y) != expected:
-        raise EncodingError(f"y={y} is not sorted({x})")
     vm.register_input(x)
     encode_units(vm, formula, x, vm.start_layer, x)
     _encode_chain(vm, formula, x)
-    encode_units(vm, formula, x, vm.d, y)
+    encode_units(vm, formula, x, vm.d, tuple(sorted(x)))
 
 
 def encode_units(vm: VarMap, formula: CnfFormula, x: Bits, k: int, bits: Bits) -> None:

@@ -31,17 +31,13 @@ from sortnetsat.words import Sentence, format_sentence, generate_prefixes, parse
 
 @dataclass(frozen=True)
 class SearchTask:
+    """One (n, d, s) instance; ``options.prefix`` is its prefix, if any."""
+
     n: int
     d: int
     s: int
-    prefix: Sentence | None = None
     options: EncodeOptions = field(default_factory=EncodeOptions)
     config: SolverConfig = field(default_factory=SolverConfig)
-
-    def effective_options(self) -> EncodeOptions:
-        if self.prefix is None:
-            return self.options
-        return self.options.with_prefix(self.prefix)
 
 
 @dataclass
@@ -53,14 +49,21 @@ class SearchResult:
     options_key: str
     status: str
     network: Network | None
-    wall_time: float
     solver: str = ""
     # seconds per stage of the solve that produced this result: encode_s,
     # solve_s, verify_s; empty for records written before they were kept and
-    # for derived answers
+    # for derived answers.  Older records also carry the solve time on its
+    # own; it is not loaded.
     timings: dict[str, float] = field(default_factory=dict)
     # (d, s) of the catalog record that settled this task without a solve
     implied_by: tuple[int, int] | None = None
+
+    def how(self, places: int) -> str:
+        """How the answer was reached: "implied by d=D s=S" for a derived
+        answer, else the solve seconds to ``places`` decimals."""
+        if self.implied_by:
+            return "implied by d={} s={}".format(*self.implied_by)
+        return f"{self.timings.get('solve_s', 0.0):.{places}f}s"
 
     def record(self) -> dict:
         return {
@@ -71,7 +74,6 @@ class SearchResult:
             "options": self.options_key,
             "status": self.status,
             "network": json.loads(self.network.to_json()) if self.network else None,
-            "wall_time": round(self.wall_time, 4),
             "solver": self.solver,
             "timings": {k: round(v, 4) for k, v in self.timings.items()},
             "implied_by": list(self.implied_by) if self.implied_by else None,
@@ -86,8 +88,7 @@ class SearchResult:
         implied_by = tuple(rec["implied_by"]) if rec.get("implied_by") else None
         return cls(
             rec["n"], rec["d"], rec["s"], prefix, rec["options"], rec["status"],
-            net, rec.get("wall_time", 0.0), rec.get("solver", ""), rec.get("timings", {}),
-            implied_by,
+            net, rec.get("solver", ""), rec.get("timings", {}), implied_by,
         )
 
 
@@ -110,8 +111,8 @@ def _settles(rec: SearchResult, d: int, s: int) -> bool:
 
 class ResultCatalog:
     """Append-only JSON-lines store of answered tasks, indexed by instance:
-    (n, prefix, options key), in catalog order.  With ``path`` None the
-    records are kept in memory only."""
+    (n, options key), in catalog order; the key names the prefix.  With
+    ``path`` None the records are kept in memory only."""
 
     def __init__(self, path: str | Path | None):
         self.path = Path(path) if path is not None else None
@@ -129,13 +130,13 @@ class ResultCatalog:
 
     @staticmethod
     def _key(res: SearchResult) -> tuple:
-        return (res.n, res.prefix, res.options_key)
+        return (res.n, res.options_key)
 
     def get(self, task: SearchTask) -> SearchResult | None:
         """The record that settles ``task`` (see ``_settles``): the task's own
         record when one settles it, else the first in catalog order.  When
         none does, the task's own last record (an UNKNOWN, say), else None."""
-        records = self._index.get((task.n, task.prefix, task.effective_options().key()), [])
+        records = self._index.get((task.n, task.options.key()), [])
         own = [r for r in records if (r.d, r.s) == (task.d, task.s)]
         return next(
             (r for r in own + records if _settles(r, task.d, task.s)),
@@ -192,8 +193,8 @@ def cached_result(task: SearchTask, catalog: ResultCatalog | None) -> SearchResu
         layers = hit.network.trimmed().layers
         network = Network(task.n, layers + ((),) * (task.d - len(layers)))
     return SearchResult(
-        task.n, task.d, task.s, task.prefix, hit.options_key, hit.status, network,
-        0.0, hit.solver, {}, (hit.d, hit.s),
+        task.n, task.d, task.s, task.options.prefix, hit.options_key, hit.status, network,
+        hit.solver, {}, (hit.d, hit.s),
     )
 
 
@@ -210,7 +211,7 @@ def run_task(
         catalog.put(hit)  # writes a derived answer; a reused record stays as it is
         return hit
     t0 = time.perf_counter()
-    formula, vm = build_instance(task.n, task.d, task.s, task.effective_options())
+    formula, vm = build_instance(task.n, task.d, task.s, task.options)
     t1 = time.perf_counter()
     outcome = solve_fn(formula, task.config)
     t2 = time.perf_counter()
@@ -225,8 +226,8 @@ def run_task(
             raise RuntimeError("decoded witness violates its size/depth bounds")
     timings = {"encode_s": t1 - t0, "solve_s": t2 - t1, "verify_s": time.perf_counter() - t2}
     result = SearchResult(
-        task.n, task.d, task.s, task.prefix, task.effective_options().key(),
-        outcome.status, network, outcome.wall_time, outcome.solver, timings,
+        task.n, task.d, task.s, task.options.prefix, task.options.key(),
+        outcome.status, network, outcome.solver, timings,
     )
     if catalog is not None:
         catalog.put(result)
@@ -307,9 +308,11 @@ def run_level(
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
+    options = options or EncodeOptions()
+    config = config or SolverConfig()
     tasks = [
-        SearchTask(n, d, s, prefix, options or EncodeOptions(), config or SolverConfig())
-        for prefix in (prefixes if prefixes is not None else [None])
+        SearchTask(n, d, s, opts, config)
+        for opts in ([options] if prefixes is None else map(options.with_prefix, prefixes))
     ]
     jobs = max(jobs, 1)
     batch = jobs if stop_on_sat else max(len(tasks), 1)

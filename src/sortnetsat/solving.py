@@ -65,7 +65,6 @@ class SolveOutcome:
     status: str
     model: dict[int, bool] | None
     solver: str
-    wall_time: float
 
 
 # clauses per chunk of write_dimacs: bounds the text and literals held at once
@@ -140,16 +139,12 @@ def _complete_model(formula: CnfFormula, lits: list[int]) -> dict[int, bool]:
 
 
 def solve(formula: CnfFormula, config: SolverConfig) -> SolveOutcome:
-    start = time.monotonic()
     if config.backend == "builtin":
-        deadline = start + config.timeout
-        status, model = dpll.solve_clauses(
-            formula.num_vars, formula.clauses, deadline=deadline
-        )
-        wall = time.monotonic() - start
+        deadline = time.monotonic() + config.timeout
+        status, model = dpll.solve_clauses(formula.num_vars, formula.clauses, deadline)
         if status == SAT and not check_model(formula, model):
             raise SolverBackendError("builtin solver returned a bad model")
-        return SolveOutcome(status, model, config.name, wall)
+        return SolveOutcome(status, model, config.name)
 
     # a fresh directory per call, also inside a shared ``config.workdir``:
     # concurrent solves must never hand a solver each other's formula
@@ -171,7 +166,7 @@ def solve(formula: CnfFormula, config: SolverConfig) -> SolveOutcome:
                 cwd=workdir,
             )
         except subprocess.TimeoutExpired:
-            return SolveOutcome(UNKNOWN, None, config.name, time.monotonic() - start)
+            return SolveOutcome(UNKNOWN, None, config.name)
         except OSError as exc:
             raise SolverBackendError(f"cannot run solver {argv[0]!r}: {exc}") from exc
         try:
@@ -185,7 +180,7 @@ def solve(formula: CnfFormula, config: SolverConfig) -> SolveOutcome:
             model = _complete_model(formula, lits)
             if not check_model(formula, model):
                 raise SolverBackendError(f"model from {config.name!r} does not satisfy the formula")
-        return SolveOutcome(status, model, config.name, time.monotonic() - start)
+        return SolveOutcome(status, model, config.name)
 
 
 def decode_network(model: dict[int, bool], vm: VarMap) -> Network:

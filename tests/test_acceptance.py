@@ -182,7 +182,7 @@ def test_criterion_7_ten_channels_depth_eight_29(external_cfg, known_optima):
     rec = known_optima["n10_d8_s29"]
     first_two = Network.make(rec["n"], rec["layers"][:2])
     seed = min(sentence_of(first_two), reflect_sentence(sentence_of(first_two)))
-    res = run_task(SearchTask(10, 8, 29, prefix=seed, config=cfg))
+    res = run_task(SearchTask(10, 8, 29, EncodeOptions().with_prefix(seed), cfg))
     assert res.status == SAT
     assert is_sorting_network(res.network) and res.network.size <= 29
 

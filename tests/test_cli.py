@@ -90,3 +90,11 @@ def test_solve_with_prefix(tmp_path, capsys):
     net = Network.from_json(out.read_text())
     fixed = prefix_network("(0,1212)", 5)
     assert net.layers[:2] == fixed.layers  # the prefix really was pinned
+
+
+def test_solve_reports_an_answer_implied_by_another_record(tmp_path, capsys):
+    catalog = ["--backend", "builtin", "--catalog", str(tmp_path / "cat.jsonl")]
+    assert main(["solve", "4", "3", "4", *catalog]) == 0
+    assert "status: UNSAT (builtin-dpll, " in capsys.readouterr().out
+    assert main(["solve", "4", "2", "3", *catalog]) == 0
+    assert capsys.readouterr().out == "status: UNSAT (builtin-dpll, implied by d=3 s=4)\n"

@@ -47,12 +47,6 @@ def test_g_ids_layer_major():
     assert vm.num_vars == 6
 
 
-def test_sorts_rejects_wrong_target():
-    vm, f = fresh(2, 1)
-    with pytest.raises(EncodingError):
-        encode_sorts(vm, f, (1, 0), (1, 0))
-
-
 def test_sorts_forces_single_comparator():
     formula, vm = build_instance(2, 1, 1)
     # the comparator variable must be pinned true by propagation of x=10

@@ -42,7 +42,7 @@ class CountingSolver:
 
 class AlwaysUnknown:
     def __call__(self, formula, config):
-        return SolveOutcome(UNKNOWN, None, "stub", 0.0)
+        return SolveOutcome(UNKNOWN, None, "stub")
 
 
 class EmptyNetworkLiar:
@@ -51,7 +51,7 @@ class EmptyNetworkLiar:
 
     def __call__(self, formula, config):
         model = {v: False for v in range(1, formula.num_vars + 1)}
-        return SolveOutcome(SAT, model, "liar", 0.0)
+        return SolveOutcome(SAT, model, "liar")
 
 
 @pytest.fixture
@@ -87,14 +87,14 @@ def test_solved_record_keeps_stage_timings(tmp_path, builtin_cfg):
 
 
 def test_record_without_timings_loads():
-    rec = SearchResult(2, 1, 1, None, "k", UNSAT, None, 0.1).record()
+    rec = SearchResult(2, 1, 1, None, "k", UNSAT, None).record()
     del rec["timings"]
     assert SearchResult.from_record(rec).timings == {}
 
 
 def test_catalog_skips_corrupt_lines(tmp_path):
     path = tmp_path / "cat.jsonl"
-    rec = SearchResult(2, 1, 1, None, "k", UNSAT, None, 0.1).record()
+    rec = SearchResult(2, 1, 1, None, "k", UNSAT, None).record()
     path.write_text("this is not json\n" + json.dumps(rec) + "\n{\"n\": 1}\n")
     with pytest.warns(UserWarning):
         cat = ResultCatalog(path)
@@ -105,7 +105,7 @@ def _append_records(path, offset, count):
     catalog = ResultCatalog(path)
     for s in range(offset, offset + count):
         # longer than a pipe buffer or a stdio buffer, so that a split write shows
-        catalog.put(SearchResult(2, 1, s, None, "k", UNSAT, None, 0.1, "x" * 9000))
+        catalog.put(SearchResult(2, 1, s, None, "k", UNSAT, None, "x" * 9000))
 
 
 def test_two_processes_append_whole_records_to_one_catalog(tmp_path):
@@ -231,8 +231,8 @@ def test_worker_failure_raises_in_the_caller_and_writes_nothing(builtin_cfg, cat
         run_level(4, 3, 6, prefixes, config=builtin_cfg, catalog=catalog,
                   solve_fn=EmptyNetworkLiar(), jobs=2, stop_on_sat=False)
     reloaded = ResultCatalog(catalog.path)
-    assert all(reloaded.get(SearchTask(4, 3, 6, p, config=builtin_cfg)) is None
-               for p in prefixes)
+    assert all(reloaded.get(SearchTask(4, 3, 6, EncodeOptions().with_prefix(p), builtin_cfg))
+               is None for p in prefixes)
 
 
 def test_level_catalog_holds_one_line_per_solved_task_in_task_order(builtin_cfg, catalog):
@@ -244,6 +244,12 @@ def test_level_catalog_holds_one_line_per_solved_task_in_task_order(builtin_cfg,
     assert [r["prefix"] for r in records] == [format_sentence(p) for p in prefixes]
     assert [r["status"] for r in records] == [r.status for r in out.results]
     assert all(set(r["timings"]) == {"encode_s", "solve_s", "verify_s"} for r in records)
+    # a task built by hand for one prefix reads the record the level wrote for it
+    reloaded = ResultCatalog(catalog.path)
+    for p, res in zip(prefixes, out.results):
+        assert catalog.get(SearchTask(4, 3, 5, EncodeOptions().with_prefix(p))) is res
+        parsed = EncodeOptions().with_prefix(format_sentence(p))
+        assert reloaded.get(SearchTask(4, 3, 5, parsed)).status == res.status
 
 
 def test_claim_summary_format():
@@ -257,16 +263,16 @@ SORTER_4 = Network.make(4, [[(1, 2), (3, 4)], [(1, 3), (2, 4)], [(2, 3)]])
 # the same comparators one layer deeper
 DEEP_SORTER_4 = Network.make(4, [[(1, 2), (3, 4)], [(1, 3)], [(2, 4)], [(2, 3)]])
 SORTER_3 = Network.make(3, [[(1, 2)], [(2, 3)], [(1, 2)]])
-P0, P1 = generate_prefixes(4, "T'").sentences[:2]
+P0, P1, P2, P3 = generate_prefixes(4, "T'").sentences[:4]
 
 
-def _task(d, s, prefix=P0, options=None, config=None):
-    return SearchTask(4, d, s, prefix, options or EncodeOptions(), config or SolverConfig())
+def _task(d, s, prefix=P0, config=None):
+    return SearchTask(4, d, s, EncodeOptions().with_prefix(prefix), config or SolverConfig())
 
 
 def _record(d, s, status=UNSAT, network=None, prefix=P0, key=None):
     key = key or EncodeOptions().with_prefix(prefix).key()
-    return SearchResult(4, d, s, prefix, key, status, network, 0.1, "hand")
+    return SearchResult(4, d, s, prefix, key, status, network, "hand")
 
 
 def _memory_catalog(*records):
@@ -314,7 +320,7 @@ def test_dominating_unsat_answers_once_and_is_recorded(catalog, tmp_path):
     res = run_task(task, catalog, counter)
     assert counter.calls == 0
     assert (res.d, res.s, res.status, res.implied_by) == (3, 4, UNSAT, (4, 6))
-    assert res.wall_time == 0 and res.timings == {}
+    assert res.timings == {}
     assert run_task(task, catalog, counter) is res  # the exact record now
     reloaded = ResultCatalog(catalog.path).get(task)
     assert (reloaded.d, reloaded.s, reloaded.implied_by) == (3, 4, (4, 6))
@@ -366,18 +372,31 @@ def test_first_settling_record_in_catalog_order_wins():
     assert cached_result(_task(3, 4), _memory_catalog(deep, own)) is own
 
 
-def test_records_with_and_without_implied_by_survive_a_reload(catalog):
+def test_records_with_and_without_implied_by_survive_a_reload(catalog, tmp_path):
     solved = _record(4, 6)
     catalog.put(solved)
     derived = cached_result(_task(3, 4), catalog)
     catalog.put(derived)
     old = _record(4, 6, prefix=P1).record()
     del old["implied_by"]
+    # records as older catalogs wrote them, with the solve time also kept on
+    # its own: next to the timings, and from before the timings were kept
+    timings = {"encode_s": 0.1, "solve_s": 0.25, "verify_s": 0.0}
+    timed = _record(4, 6, prefix=P2).record() | {"wall_time": 0.25, "timings": timings}
+    untimed = _record(4, 6, prefix=P3).record() | {"wall_time": 0.25}
+    del untimed["timings"], untimed["implied_by"]
     with catalog.path.open("a") as fh:
-        fh.write(json.dumps(old) + "\n")
+        fh.writelines(json.dumps(rec) + "\n" for rec in (old, timed, untimed))
+    lines = catalog.path.read_text()
     reloaded = ResultCatalog(catalog.path)
-    assert [r.implied_by for r in reloaded._index[(4, P0, solved.options_key)]] == [None, (4, 6)]
+    assert [r.implied_by for r in reloaded._index[(4, solved.options_key)]] == [None, (4, 6)]
     assert reloaded.get(_task(4, 6, prefix=P1)).implied_by is None
+    counter = CountingSolver(tmp_path / "calls")
+    for prefix, kept in ((P2, timings), (P3, {})):
+        res = run_task(_task(4, 6, prefix), reloaded, counter)
+        assert (res.status, res.implied_by, res.timings) == (UNSAT, None, kept)
+        assert "wall_time" not in res.record()
+    assert counter.calls == 0 and catalog.path.read_text() == lines  # reused as they are
 
 
 def test_derived_answers_match_direct_solves(builtin_cfg):
@@ -390,7 +409,8 @@ def test_derived_answers_match_direct_solves(builtin_cfg):
         out = run_level(4, d, s, prefixes, config=builtin_cfg, catalog=catalog,
                         stop_on_sat=False)
         for res in out.results:
-            direct = run_task(SearchTask(4, d, s, res.prefix, config=builtin_cfg))
+            direct = run_task(SearchTask(4, d, s, EncodeOptions().with_prefix(res.prefix),
+                                         builtin_cfg))
             assert res.status == direct.status, (d, s, res.prefix, res.implied_by)
             derived += res.implied_by is not None
             if res.status == SAT:
