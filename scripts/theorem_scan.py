@@ -4,7 +4,8 @@
 Each job solves one (n, d, s) level for every prefix in R(T'_n), reporting
 per-prefix status in prefix order and the aggregate verdict (SAT = some prefix
 extends, UNSAT = none does, which proves the bound).  Progress is checkpointed
-in the catalog so the scan can be interrupted and resumed.  A prefix that a
+in the catalog so the scan can be interrupted and resumed; on resume, the line
+of a prefix answered before reads "from catalog".  A prefix that a
 record at other bounds already settles (an UNSAT at bounds no smaller, a
 witness that fits) is not solved again; its line reads "implied by d=D s=S".
 

@@ -116,12 +116,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     print(claim.summary())
     if claim.note:
         print(claim.note)
-    for k, (net, prefix) in enumerate(zip(claim.witnesses, claim.witness_prefixes)):
-        t = net.trimmed()
-        tag = f" prefix={format_sentence(prefix)}" if prefix else ""
+    for k, res in enumerate(claim.witnesses):
+        t = res.network.trimmed()
+        tag = f" prefix={format_sentence(res.prefix)}" if res.prefix else ""
         print(f"witness[{k}]: size={t.size} depth={t.depth}{tag}")
     if args.save_witness and claim.witnesses:
-        Path(args.save_witness).write_text(claim.witnesses[0].to_json() + "\n")
+        Path(args.save_witness).write_text(claim.witnesses[0].network.to_json() + "\n")
         print(f"wrote witness to {args.save_witness}")
     return 0 if claim.proven else 3
 

@@ -57,10 +57,15 @@ class SearchResult:
     timings: dict[str, float] = field(default_factory=dict)
     # (d, s) of the catalog record that settled this task without a solve
     implied_by: tuple[int, int] | None = None
+    # read from a catalog file, not produced by this process; not recorded
+    from_catalog: bool = False
 
     def how(self, places: int) -> str:
-        """How the answer was reached: "implied by d=D s=S" for a derived
-        answer, else the solve seconds to ``places`` decimals."""
+        """How the answer was reached: "from catalog" for a record read from a
+        catalog file, "implied by d=D s=S" for an answer derived now, else the
+        solve seconds to ``places`` decimals."""
+        if self.from_catalog:
+            return "from catalog"
         if self.implied_by:
             return "implied by d={} s={}".format(*self.implied_by)
         return f"{self.timings.get('solve_s', 0.0):.{places}f}s"
@@ -89,6 +94,7 @@ class SearchResult:
         return cls(
             rec["n"], rec["d"], rec["s"], prefix, rec["options"], rec["status"],
             net, rec.get("solver", ""), rec.get("timings", {}), implied_by,
+            from_catalog=True,
         )
 
 
@@ -218,12 +224,11 @@ def run_task(
     network = None
     if outcome.status == SAT:
         network = decode_network(outcome.model, vm)
-        if not is_sorting_network(network):
+        if not (_fits(network, task.n, task.d, task.s) and is_sorting_network(network)):
             raise RuntimeError(
-                f"decoded witness for (n={task.n}, d={task.d}, s={task.s}) does not sort"
+                f"decoded witness for (n={task.n}, d={task.d}, s={task.s}) does not fit "
+                "or does not sort"
             )
-        if network.size > task.s or network.depth > task.d:
-            raise RuntimeError("decoded witness violates its size/depth bounds")
     timings = {"encode_s": t1 - t0, "solve_s": t2 - t1, "verify_s": time.perf_counter() - t2}
     result = SearchResult(
         task.n, task.d, task.s, task.options.prefix, task.options.key(),
@@ -262,8 +267,7 @@ class OptimalityClaim:
     parameter: int | None
     value: int | None
     proven: bool
-    witnesses: list[Network] = field(default_factory=list)
-    witness_prefixes: list[Sentence | None] = field(default_factory=list)
+    witnesses: list[SearchResult] = field(default_factory=list)
     evidence: list[SearchResult] = field(default_factory=list)
     note: str = ""
 
@@ -281,7 +285,6 @@ def run_level(
     d: int,
     s: int,
     prefixes: Sequence[Sentence] | None,
-    options: EncodeOptions | None = None,
     config: SolverConfig | None = None,
     catalog: ResultCatalog | None = None,
     solve_fn: Callable[..., SolveOutcome] = solve,
@@ -289,8 +292,8 @@ def run_level(
     stop_on_sat: bool = True,
     on_result: Callable[[SearchResult], None] | None = None,
 ) -> LevelOutcome:
-    """Solve (n, d, s) once per prefix (once without a prefix when ``prefixes``
-    is None) in ``jobs`` worker processes.
+    """Solve (n, d, s) with the default encoding once per prefix (once without
+    a prefix when ``prefixes`` is None) in ``jobs`` worker processes.
 
     The calling process answers what it can from ``catalog`` (see
     ``cached_result``) and sends the other tasks to the workers, which encode,
@@ -308,11 +311,10 @@ def run_level(
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    options = options or EncodeOptions()
     config = config or SolverConfig()
     tasks = [
-        SearchTask(n, d, s, opts, config)
-        for opts in ([options] if prefixes is None else map(options.with_prefix, prefixes))
+        SearchTask(n, d, s, EncodeOptions().with_prefix(p), config)
+        for p in ([None] if prefixes is None else prefixes)
     ]
     jobs = max(jobs, 1)
     batch = jobs if stop_on_sat else max(len(tasks), 1)
@@ -342,10 +344,10 @@ def run_level(
 
 
 def _prefix_pool(n: int, prefixes: str) -> list[Sentence] | None:
-    if prefixes == "none":
-        return None
+    """The prefixes each level of depth >= 2 runs over; None for a level
+    without prefixes, also when T' is empty (n <= 2)."""
     if prefixes == "tprime" or (prefixes == "auto" and n >= 11):
-        return list(generate_prefixes(n, "T'").sentences)
+        return list(generate_prefixes(n, "T'").sentences) or None
     return None
 
 
@@ -359,7 +361,6 @@ def optimize(
     depth: int | None = None,
     size: int | None = None,
     config: SolverConfig | None = None,
-    options: EncodeOptions | None = None,
     prefixes: str = "auto",
     catalog: ResultCatalog | None = None,
     solve_fn: Callable[..., SolveOutcome] = solve,
@@ -371,8 +372,10 @@ def optimize(
       network, descending from the first witness, UNSAT at s-1 required.
     * ``min_depth_given_size``: smallest d admitting one with at most ``size``
       comparators, ascending.
-    * ``pareto``: the (d, s) frontier starting at the minimal feasible depth.
+    * ``pareto``: the (d, s) frontier: the smallest size at each depth from
+      the minimal feasible one, until extra depth stops helping.
 
+    A prefix pins two layers, so levels of depth 1 run without prefixes.
     Without a ``catalog`` the answers are kept in memory, so that later
     levels still reuse them.
     """
@@ -383,9 +386,8 @@ def optimize(
         catalog = ResultCatalog(None)
 
     def level(d: int, s: int, stop_on_sat: bool = True) -> LevelOutcome:
-        return run_level(
-            n, d, s, pool, options, config, catalog, solve_fn, jobs, stop_on_sat
-        )
+        prefixes = pool if d >= 2 else None
+        return run_level(n, d, s, prefixes, config, catalog, solve_fn, jobs, stop_on_sat)
 
     if mode == "min_size_given_depth":
         if depth is None:
@@ -426,8 +428,7 @@ def _min_size_at_depth(n: int, d: int, level) -> OptimalityClaim:
         final = level(d, best, stop_on_sat=False)
         claim.evidence.extend(final.results)
         claim.value = best
-        claim.witnesses = [r.network for r in final.witnesses()]
-        claim.witness_prefixes = [r.prefix for r in final.witnesses()]
+        claim.witnesses = final.witnesses()
         claim.proven = True
     return claim
 
@@ -440,8 +441,7 @@ def _min_depth_at_size(n: int, s: int, level) -> OptimalityClaim:
         claim.evidence.extend(out.results)
         if out.status == SAT:
             claim.value = d
-            claim.witnesses = [r.network for r in out.witnesses()]
-            claim.witness_prefixes = [r.prefix for r in out.witnesses()]
+            claim.witnesses = out.witnesses()
             claim.proven = proven_below
             return claim
         if out.status == UNKNOWN:
@@ -454,32 +454,19 @@ def _min_depth_at_size(n: int, s: int, level) -> OptimalityClaim:
 def _pareto(n: int, level) -> OptimalityClaim:
     claim = OptimalityClaim(n, "pareto", None, None, True)
     frontier: list[tuple[int, int]] = []
-    d = 1
-    while d <= 2 * n:
-        out = level(d, max_size(n, d))
-        claim.evidence.extend(out.results)
-        if out.status == SAT:
-            break
-        if out.status == UNKNOWN:
-            claim.proven = False
-            claim.note = f"UNKNOWN probing depth {d}"
-            return claim
-        d += 1
-    prev_size: int | None = None
-    while d <= 2 * n:
+    for d in range(1, 2 * n + 1):
         sub = _min_size_at_depth(n, d, level)
         claim.evidence.extend(sub.evidence)
-        if not sub.proven or sub.value is None:
+        if not sub.proven:
             claim.proven = False
-            claim.note = sub.note or f"depth {d} size search not proven"
+            claim.note = f"depth {d}: {sub.note}"
             return claim
-        if prev_size is None or sub.value < prev_size:
-            frontier.append((d, sub.value))
-            claim.witnesses.extend(sub.witnesses)
-            prev_size = sub.value
-        else:
+        if sub.value is None:
+            continue  # no sorting network this shallow
+        if frontier and sub.value >= frontier[-1][1]:
             break  # extra depth stopped helping: frontier closed
-        d += 1
+        frontier.append((d, sub.value))
+        claim.witnesses.extend(sub.witnesses)
     claim.note = "frontier " + ", ".join(f"(d={a}, s={b})" for a, b in frontier)
     claim.value = frontier[-1][1] if frontier else None
     claim.parameter = frontier[0][0] if frontier else None

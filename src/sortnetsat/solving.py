@@ -142,10 +142,16 @@ def solve(formula: CnfFormula, config: SolverConfig) -> SolveOutcome:
     if config.backend == "builtin":
         deadline = time.monotonic() + config.timeout
         status, model = dpll.solve_clauses(formula.num_vars, formula.clauses, deadline)
-        if status == SAT and not check_model(formula, model):
-            raise SolverBackendError("builtin solver returned a bad model")
-        return SolveOutcome(status, model, config.name)
+    else:
+        status, model = _solve_external(formula, config)
+    if status == SAT and not check_model(formula, model):
+        raise SolverBackendError(f"model from {config.name!r} does not satisfy the formula")
+    return SolveOutcome(status, model, config.name)
 
+
+def _solve_external(
+    formula: CnfFormula, config: SolverConfig
+) -> tuple[str, dict[int, bool] | None]:
     # a fresh directory per call, also inside a shared ``config.workdir``:
     # concurrent solves must never hand a solver each other's formula
     with tempfile.TemporaryDirectory(prefix="sortnetsat-", dir=config.workdir) as tmp:
@@ -166,7 +172,7 @@ def solve(formula: CnfFormula, config: SolverConfig) -> SolveOutcome:
                 cwd=workdir,
             )
         except subprocess.TimeoutExpired:
-            return SolveOutcome(UNKNOWN, None, config.name)
+            return UNKNOWN, None
         except OSError as exc:
             raise SolverBackendError(f"cannot run solver {argv[0]!r}: {exc}") from exc
         try:
@@ -175,12 +181,7 @@ def solve(formula: CnfFormula, config: SolverConfig) -> SolveOutcome:
             raise SolverBackendError(
                 f"{exc} (exit code {proc.returncode}, stderr: {proc.stderr[:500]!r})"
             ) from None
-        model = None
-        if status == SAT:
-            model = _complete_model(formula, lits)
-            if not check_model(formula, model):
-                raise SolverBackendError(f"model from {config.name!r} does not satisfy the formula")
-        return SolveOutcome(status, model, config.name)
+        return status, _complete_model(formula, lits) if status == SAT else None
 
 
 def decode_network(model: dict[int, bool], vm: VarMap) -> Network:

@@ -98,3 +98,24 @@ def test_solve_reports_an_answer_implied_by_another_record(tmp_path, capsys):
     assert "status: UNSAT (builtin-dpll, " in capsys.readouterr().out
     assert main(["solve", "4", "2", "3", *catalog]) == 0
     assert capsys.readouterr().out == "status: UNSAT (builtin-dpll, implied by d=3 s=4)\n"
+
+
+def test_solve_reports_an_answer_read_back_from_its_own_record(tmp_path, capsys):
+    path = tmp_path / "cat.jsonl"
+    catalog = ["--backend", "builtin", "--catalog", str(path)]
+    assert main(["solve", "4", "3", "4", *catalog]) == 0
+    capsys.readouterr()
+    assert main(["solve", "4", "3", "4", *catalog]) == 0
+    assert capsys.readouterr().out == "status: UNSAT (builtin-dpll, from catalog)\n"
+    assert len(path.read_text().splitlines()) == 1
+
+
+def test_optimize_pareto_prints_its_witnesses(tmp_path, capsys):
+    saved = tmp_path / "w.json"
+    rc = main(["optimize", "4", "--mode", "pareto", "--backend", "builtin",
+               "--save-witness", str(saved)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "frontier (d=3, s=5)" in out
+    assert "witness[0]: size=5 depth=3\n" in out
+    assert Network.from_json(saved.read_text()).trimmed().size == 5

@@ -1,0 +1,40 @@
+import importlib.util
+import re
+from pathlib import Path
+
+from sortnetsat.solving import SOLVER_ENV_VAR
+from tests.test_acceptance import PREFIX_TABLE
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _run(monkeypatch, capsys, name: str, *argv: str) -> tuple[int, str]:
+    path = SCRIPTS / name
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    monkeypatch.setattr("sys.argv", [str(path), *argv])
+    rc = mod.main()
+    return rc, capsys.readouterr().out
+
+
+def test_prefix_table_checks_its_counts_by_enumeration(monkeypatch, capsys):
+    rc, out = _run(monkeypatch, capsys, "prefix_table.py", "--max-n", "8", "--check")
+    assert rc == 0
+    rows = [line.replace(",", "").split() for line in out.splitlines()]
+    table = {int(r[0]): tuple(map(int, r[1:])) for r in rows if r and r[0].isdigit()}
+    assert table == {n: PREFIX_TABLE[n] for n in range(3, 9)}
+
+
+def test_reproduce_small_optima_proves_the_frontiers(external_cfg, tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.delenv(SOLVER_ENV_VAR, raising=False)  # the bundled solver
+    rc, out = _run(monkeypatch, capsys, "reproduce_small_optima.py", "--max-n", "4",
+                   "--catalog", str(tmp_path / "optima.jsonl"))
+    assert rc == 0
+    frontiers = re.findall(r"^(n=\d: frontier .*) \(\d+\.\ds\)$", out, re.M)
+    assert frontiers == [
+        "n=2: frontier (d=1, s=1) [proven]",
+        "n=3: frontier (d=3, s=3) [proven]",
+        "n=4: frontier (d=3, s=5) [proven]",
+    ]

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from sortnetsat.encoding import ENCODER_VERSION, EncodeOptions
-from sortnetsat.networks import Network
+from sortnetsat.encoding import ENCODER_VERSION, EncodeOptions, build_instance
+from sortnetsat.networks import Network, is_sorting_network
 from sortnetsat.search import (
     OptimalityClaim,
     ResultCatalog,
@@ -161,7 +161,8 @@ def test_optimize_pareto_small(builtin_cfg):
     claim = optimize(4, "pareto", config=builtin_cfg)
     assert claim.proven
     assert "(d=3, s=5)" in claim.note
-    assert all(net.trimmed().depth <= 3 and net.size <= 5 for net in claim.witnesses[:1])
+    assert all(r.network.trimmed().depth <= 3 and r.network.size <= 5
+               for r in claim.witnesses[:1])
 
 
 def test_optimize_min_size_given_depth(builtin_cfg):
@@ -172,6 +173,41 @@ def test_optimize_min_size_given_depth(builtin_cfg):
 def test_optimize_min_depth_given_size(builtin_cfg):
     claim = optimize(4, "min_depth_given_size", size=5, config=builtin_cfg)
     assert claim.proven and claim.value == 3
+
+
+@pytest.mark.parametrize(
+    "n, mode, bound, note, value",
+    [
+        (4, "pareto", {}, "frontier (d=3, s=5)", 5),
+        (4, "min_depth_given_size", {"size": 5}, "", 3),
+        (2, "pareto", {}, "frontier (d=1, s=1)", 1),
+    ],
+    ids=["pareto-4", "min-depth-4", "pareto-2"],
+)
+def test_prefixed_claims_run_shallow_levels_without_prefixes(builtin_cfg, n, mode, bound,
+                                                             note, value):
+    # a prefix pins two layers: depth-1 levels, and every level at n=2 where
+    # T' is empty, run without one
+    claim = optimize(n, mode, config=builtin_cfg, prefixes="tprime", **bound)
+    assert claim.proven and claim.value == value and claim.note == note
+    assert all(r.prefix is None for r in claim.evidence if r.d < 2)
+    # the witnesses are the SAT results, each with the prefix it extends
+    assert claim.witnesses
+    for r in claim.witnesses:
+        assert r.status == SAT and is_sorting_network(r.network)
+        assert (r.prefix is None) == (n == 2)
+
+
+@pytest.mark.parametrize(
+    "n, prefixes, cfg, calls",
+    [(4, "auto", "builtin_cfg", 6), (5, "none", "external_cfg", 7)],
+)
+def test_pareto_solver_calls(request, tmp_path, n, prefixes, cfg, calls):
+    # an infeasible depth costs one solve, the first level of its descent
+    counter = CountingSolver(tmp_path / "calls")
+    config = request.getfixturevalue(cfg)
+    claim = optimize(n, "pareto", config=config, prefixes=prefixes, solve_fn=counter)
+    assert claim.proven and counter.calls == calls
 
 
 def test_optimize_infeasible_depth(builtin_cfg):
@@ -199,7 +235,7 @@ def test_min_size_witnesses_are_optimal(builtin_cfg, jobs):
     )
     assert claim.proven and claim.value == 5
     assert claim.witnesses
-    assert all(net.size == claim.value for net in claim.witnesses)
+    assert all(r.network.size == claim.value for r in claim.witnesses)
 
 
 def test_run_level_stops_after_the_batch_holding_the_first_sat(builtin_cfg, tmp_path):
@@ -233,6 +269,23 @@ def test_worker_failure_raises_in_the_caller_and_writes_nothing(builtin_cfg, cat
     reloaded = ResultCatalog(catalog.path)
     assert all(reloaded.get(SearchTask(4, 3, 6, EncodeOptions().with_prefix(p), builtin_cfg))
                is None for p in prefixes)
+
+
+class OversizedSorter:
+    """Claims SAT with a model that decodes to the 5-comparator SORTER_4."""
+
+    def __call__(self, formula, config):
+        _, vm = build_instance(4, 3, 4)
+        model = {v: False for v in range(1, formula.num_vars + 1)}
+        for k, layer in enumerate(SORTER_4.layers, 1):
+            model.update((vm.g(k, i, j), True) for i, j in layer)
+        return SolveOutcome(SAT, model, "liar")
+
+
+def test_fresh_witness_over_the_size_bound_raises_and_writes_nothing(catalog):
+    with pytest.raises(RuntimeError, match="does not fit"):
+        run_task(SearchTask(4, 3, 4), catalog, OversizedSorter())
+    assert not catalog.path.exists()
 
 
 def test_level_catalog_holds_one_line_per_solved_task_in_task_order(builtin_cfg, catalog):

@@ -1,5 +1,6 @@
 import io
 import random
+import re
 import shutil
 import subprocess
 import threading
@@ -139,6 +140,22 @@ def test_external_crash_is_an_error():
         solve(f, SolverConfig("external", "echo not-a-solver-answer", timeout=10))
     with pytest.raises(SolverBackendError):
         solve(f, SolverConfig("external", "/nonexistent/solver {cnf}", timeout=10))
+
+
+def test_builtin_bad_model_is_an_error(monkeypatch):
+    # a model that breaks the formula's only clause
+    monkeypatch.setattr(solving.dpll, "solve_clauses",
+                        lambda num_vars, clauses, deadline: (SAT, {1: False}))
+    with pytest.raises(SolverBackendError, match="'builtin-dpll' does not satisfy"):
+        solve(formula(1, [(1,)]), SolverConfig("builtin", timeout=10))
+
+
+def test_external_bad_model_is_an_error(tmp_path):
+    script = tmp_path / "liar.sh"
+    script.write_text("echo s SATISFIABLE\necho v -1 0\n")
+    cfg = SolverConfig("external", f"sh {script}", timeout=10)
+    with pytest.raises(SolverBackendError, match=re.escape(f"'sh {script}' does not satisfy")):
+        solve(formula(1, [(1,)]), cfg)
 
 
 def test_shared_workdir_gives_each_solve_its_own_file(tmp_path):

@@ -9,7 +9,7 @@ from sortnetsat.words import format_sentence, generate_prefixes
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "theorem_scan.py"
 PROGRESS = re.compile(
     r"\[(\d+)/(\d+)\] (\S+): (SAT|UNSAT|UNKNOWN) "
-    r"\((?:\d+\.\d+s|implied by d=(\d+) s=(\d+)), eta \d+s\)"
+    r"\((?:\d+\.\d+s|implied by d=(\d+) s=(\d+)|(from catalog)), eta \d+s\)"
 )
 
 
@@ -55,7 +55,11 @@ def test_theorem_scan_proves_a_level_and_resumes(external_cfg, tmp_path, monkeyp
     resumed = catalog.read_text().splitlines()
     assert len(resumed) == len(lines)  # only the two missing prefixes were solved
     assert sorted(_prefixes(resumed[-2:])) == sorted(_prefixes(lines[-2:]))
-    assert len(_progress(out)) == len(expected)
+    progress = _progress(out)
+    assert len(progress) == len(expected)
+    reused = {m[3] for m in progress if m[7]}  # read back, not solved again
+    assert reused == set(_prefixes(lines[:-2]))
+    assert "0 implied by other records" in out
 
 
 def test_theorem_scan_solves_only_what_a_larger_level_leaves_open(
