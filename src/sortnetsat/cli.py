@@ -13,12 +13,13 @@ import sys
 from pathlib import Path
 
 from sortnetsat import csolver
-from sortnetsat.encoding import EncodeOptions, build_instance
+from sortnetsat.encoding import EncodeOptions, EncodingError, build_instance
 from sortnetsat.networks import Network, is_sorting_network
 from sortnetsat.render import render_svg
 from sortnetsat.search import ResultCatalog, optimize, run_task, SearchTask
 from sortnetsat.solving import SAT, UNSAT, SolverConfig, default_config, write_dimacs
 from sortnetsat.words import (
+    WordError,
     count_prefixes,
     format_sentence,
     generate_prefixes,
@@ -84,8 +85,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     res = run_task(task, catalog)
     print(f"status: {res.status} ({res.solver}, {res.how(2)})")
     if res.network is not None:
-        trimmed = res.network.trimmed()
-        print(f"witness: size={trimmed.size} depth={trimmed.depth}")
+        print(f"witness: size={res.network.size} depth={res.network.depth}")
         if args.output:
             Path(args.output).write_text(res.network.to_json() + "\n")
             print(f"wrote witness to {args.output}")
@@ -117,9 +117,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if claim.note:
         print(claim.note)
     for k, res in enumerate(claim.witnesses):
-        t = res.network.trimmed()
         tag = f" prefix={format_sentence(res.prefix)}" if res.prefix else ""
-        print(f"witness[{k}]: size={t.size} depth={t.depth}{tag}")
+        print(f"witness[{k}]: size={res.network.size} depth={res.network.depth}{tag}")
     if args.save_witness and claim.witnesses:
         Path(args.save_witness).write_text(claim.witnesses[0].network.to_json() + "\n")
         print(f"wrote witness to {args.save_witness}")
@@ -215,8 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except (EncodingError, WordError) as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

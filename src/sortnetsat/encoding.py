@@ -93,9 +93,11 @@ class VarMap:
 
     def __init__(self, n: int, d: int, start_layer: int = 0):
         if n < 1 or d < 1:
-            raise EncodingError(f"bad dimensions n={n} d={d}")
-        if not 0 <= start_layer <= d:
-            raise EncodingError(f"start layer {start_layer} outside 0..{d}")
+            raise EncodingError(f"need n >= 1 and d >= 1, got n={n} d={d}")
+        if start_layer < 0:
+            raise EncodingError(f"negative start layer {start_layer}")
+        if start_layer > d:
+            raise EncodingError(f"start layer {start_layer} needs d >= {start_layer}, got d={d}")
         self.n = n
         self.d = d
         self.start_layer = start_layer
@@ -410,8 +412,6 @@ def prefix_network(prefix: Sentence | str, n: int) -> Network:
 def encode_prefix(vm: VarMap, formula: CnfFormula, prefix: Sentence | str) -> list[Bits]:
     """Pin layers 1 and 2 to the prefix network; returns the still-unsorted
     prefix outputs, the only vectors the remaining layers must handle."""
-    if vm.d < 2:
-        raise EncodingError("a two-layer prefix needs d >= 2")
     net = prefix_network(prefix, vm.n)
     placed = {(k, c): True for k, c in net.comparators()}
     for k in (1, 2):
@@ -431,14 +431,9 @@ def build_instance(
     Satisfiable exactly when a sorting network on n channels with at most d
     layers and at most s comparators (extending the prefix, if fixed) exists.
     """
-    if n < 1:
-        raise EncodingError(f"need n >= 1, got {n}")
-    if d < 1 or s < 1:
-        raise EncodingError(f"need positive depth and size, got d={d} s={s}")
+    if s < 1:
+        raise EncodingError(f"need s >= 1, got s={s}")
     options = options or EncodeOptions()
-    if options.prefix is not None and d < 2:
-        raise EncodingError("cannot fix a two-layer prefix with d < 2")
-
     vm = VarMap(n, d, start_layer=2 if options.prefix is not None else 0)
     formula = CnfFormula()
     encode_valid(vm, formula)

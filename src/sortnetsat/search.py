@@ -86,24 +86,32 @@ class SearchResult:
 
     @classmethod
     def from_record(cls, rec: dict) -> "SearchResult":
+        """The result a catalog record holds, its witness without trailing
+        empty layers.  ValueError for a record that is not a JSON object, or a
+        SAT record whose witness does not fit its own (n, d, s) or does not
+        sort."""
+        if not isinstance(rec, dict):
+            raise ValueError("not a JSON object")
         net = None
         if rec.get("network"):
-            net = Network.make(rec["network"]["n"], rec["network"]["layers"])
+            net = Network.make(rec["network"]["n"], rec["network"]["layers"]).trimmed()
         prefix = parse_sentence(rec["prefix"]) if rec.get("prefix") else None
         implied_by = tuple(rec["implied_by"]) if rec.get("implied_by") else None
-        return cls(
+        res = cls(
             rec["n"], rec["d"], rec["s"], prefix, rec["options"], rec["status"],
             net, rec.get("solver", ""), rec.get("timings", {}), implied_by,
             from_catalog=True,
         )
+        if res.status == SAT and not (_fits(net, res.n, res.d, res.s) and is_sorting_network(net)):
+            raise ValueError(
+                f"SAT witness does not fit (n={res.n}, d={res.d}, s={res.s}) or does not sort"
+            )
+        return res
 
 
 def _fits(net: Network | None, n: int, d: int, s: int) -> bool:
     """Whether ``net`` is an n-channel network within d layers and s comparators."""
-    if net is None or net.n != n:
-        return False
-    net = net.trimmed()
-    return net.size <= s and net.depth <= d
+    return net is not None and net.n == n and net.size <= s and net.depth <= d
 
 
 def _settles(rec: SearchResult, d: int, s: int) -> bool:
@@ -129,7 +137,7 @@ class ResultCatalog:
                     continue
                 try:
                     res = SearchResult.from_record(json.loads(line))
-                except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError) as exc:
                     warnings.warn(f"{self.path}:{lineno}: skipping corrupt record ({exc})")
                     continue
                 self._index.setdefault(self._key(res), []).append(res)
@@ -140,14 +148,11 @@ class ResultCatalog:
 
     def get(self, task: SearchTask) -> SearchResult | None:
         """The record that settles ``task`` (see ``_settles``): the task's own
-        record when one settles it, else the first in catalog order.  When
-        none does, the task's own last record (an UNKNOWN, say), else None."""
+        record when one settles it, else the first in catalog order; None when
+        none does."""
         records = self._index.get((task.n, task.options.key()), [])
         own = [r for r in records if (r.d, r.s) == (task.d, task.s)]
-        return next(
-            (r for r in own + records if _settles(r, task.d, task.s)),
-            own[-1] if own else None,
-        )
+        return next((r for r in own + records if _settles(r, task.d, task.s)), None)
 
     def put(self, res: SearchResult) -> None:
         """Record ``res``; a record the catalog already holds (a reused answer)
@@ -173,34 +178,17 @@ class ResultCatalog:
 
 
 def cached_result(task: SearchTask, catalog: ResultCatalog | None) -> SearchResult | None:
-    """The catalog's answer to ``task`` when it may be reused, else None.
+    """The catalog's answer to ``task`` (see ``ResultCatalog.get``), else None.
 
-    Cached UNKNOWNs are re-solved, never reused; SAT witnesses are re-checked
-    against the task's channels and bounds and re-verified before being
-    trusted.  A record at other bounds gives a derived answer for the task's
-    own (d, s), with ``implied_by`` set, no timings and a witness padded with
-    empty layers to d layers, as ``decode_network`` returns it.
+    A record at other bounds gives a derived answer for the task's own (d, s),
+    with ``implied_by`` set, no timings and the record's witness unchanged.
     """
     hit = catalog.get(task) if catalog is not None else None
-    if hit is None or hit.status not in (SAT, UNSAT):
-        return None
-    if hit.status == SAT and not (
-        _fits(hit.network, task.n, task.d, task.s) and is_sorting_network(hit.network)
-    ):
-        warnings.warn(
-            f"catalog SAT record at (n={hit.n}, d={hit.d}, s={hit.s}) does not fit "
-            f"(n={task.n}, d={task.d}, s={task.s}) or does not sort; re-solving"
-        )
-        return None
-    if (hit.d, hit.s) == (task.d, task.s):
+    if hit is None or (hit.d, hit.s) == (task.d, task.s):
         return hit
-    network = None
-    if hit.network is not None:
-        layers = hit.network.trimmed().layers
-        network = Network(task.n, layers + ((),) * (task.d - len(layers)))
     return SearchResult(
-        task.n, task.d, task.s, task.options.prefix, hit.options_key, hit.status, network,
-        hit.solver, {}, (hit.d, hit.s),
+        task.n, task.d, task.s, task.options.prefix, hit.options_key, hit.status,
+        hit.network, hit.solver, {}, (hit.d, hit.s),
     )
 
 

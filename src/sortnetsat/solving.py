@@ -115,7 +115,10 @@ def parse_solver_output(text: str) -> tuple[str, list[int]]:
                 status = UNKNOWN
         elif line.startswith("v ") or line == "v":
             for tok in line[1:].split():
-                val = int(tok)
+                try:
+                    val = int(tok)
+                except ValueError:
+                    raise SolverBackendError(f"bad literal {tok!r} in a 'v' line") from None
                 if val == 0:
                     continue
                 lits.append(val)
@@ -185,8 +188,8 @@ def _solve_external(
 
 
 def decode_network(model: dict[int, bool], vm: VarMap) -> Network:
-    """Network picked out by the g variables; trailing empty layers are kept,
-    so the depth equals the encoded d."""
+    """Network picked out by the g variables, without trailing empty layers:
+    its depth is its real depth, at most the encoded d."""
     layers = []
     for k in range(1, vm.d + 1):
         layers.append(
@@ -198,7 +201,7 @@ def decode_network(model: dict[int, bool], vm: VarMap) -> Network:
             ]
         )
     try:
-        return Network.make(vm.n, layers)
+        return Network.make(vm.n, layers).trimmed()
     except ValueError as exc:
         raise SolverBackendError(f"model decodes to an invalid network: {exc}") from exc
 

@@ -105,13 +105,7 @@ def canonical_word(word: Word) -> Word:
 
 def reflect_word(word: Word) -> Word:
     """Word of the mirrored component: swap '1' and '2', re-canonicalize."""
-    kind = word_kind(word)
-    if kind == CYCLE:
-        return _canonical_cycle_core(word[:-1].translate(_SWAP12)) + "c"
-    swapped = word.translate(_SWAP12)
-    if kind == HEAD:
-        return swapped
-    return min(swapped, swapped[::-1])
+    return canonical_word(word.translate(_SWAP12))
 
 
 def enumerate_words(channels: int, kind: str) -> list[Word]:

@@ -119,3 +119,20 @@ def test_optimize_pareto_prints_its_witnesses(tmp_path, capsys):
     assert "frontier (d=3, s=5)" in out
     assert "witness[0]: size=5 depth=3\n" in out
     assert Network.from_json(saved.read_text()).trimmed().size == 5
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "4", "1", "2", "--backend", "builtin", "--prefix", "(1212)"],
+         "start layer 2 needs d >= 2"),
+        (["encode", "4", "3", "5", "--prefix", "(1x2)"], "malformed word '1x2'"),
+    ],
+    ids=["prefix-too-deep", "malformed-prefix"],
+)
+def test_input_errors_are_reported_without_a_traceback(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"sortnetsat: error: {message}" in err and "Traceback" not in err

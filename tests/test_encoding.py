@@ -127,11 +127,13 @@ def test_full_prefix_leaves_nothing_to_sort():
 
 
 def test_build_rejects_bad_dimensions():
-    with pytest.raises(EncodingError):
+    with pytest.raises(EncodingError, match="need n >= 1"):
+        build_instance(0, 3, 3)
+    with pytest.raises(EncodingError, match="d >= 1"):
         build_instance(4, 0, 3)
-    with pytest.raises(EncodingError):
+    with pytest.raises(EncodingError, match="need s >= 1"):
         build_instance(4, 3, 0)
-    with pytest.raises(EncodingError):
+    with pytest.raises(EncodingError, match="start layer 2 needs d >= 2"):
         build_instance(4, 1, 2, EncodeOptions().with_prefix("(1212)"))
 
 

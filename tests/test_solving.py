@@ -112,6 +112,16 @@ def test_parse_solver_output():
     assert parse_solver_output("s UNKNOWN\n") == (UNKNOWN, [])
     with pytest.raises(SolverBackendError):
         parse_solver_output("nothing useful\n")
+    with pytest.raises(SolverBackendError, match="bad literal 'x'"):
+        parse_solver_output("s SATISFIABLE\nv 1 x 0")
+
+
+def test_external_bad_literal_is_an_error(tmp_path):
+    script = tmp_path / "garbage.sh"
+    script.write_text("echo s SATISFIABLE\necho v 1 -2 garbage 0\n")
+    cfg = SolverConfig("external", f"sh {script}", timeout=10)
+    with pytest.raises(SolverBackendError, match=r"bad literal 'garbage'.*\(exit code 0"):
+        solve(formula(2, [(1,)]), cfg)
 
 
 def test_builtin_tiny_formulas(builtin_cfg):
@@ -185,12 +195,16 @@ def test_decode_single_comparator(builtin_cfg):
     assert net.layers == (((1, 2),),)
 
 
-def test_decode_keeps_encoded_depth(external_cfg):
+def test_decode_gives_the_real_depth(external_cfg):
+    # one comparator in the first of three layers decodes to a depth-1 network
+    _, vm = build_instance(2, 3, 1)
+    model = {v: False for v in range(1, vm.num_vars + 1)} | {vm.g(1, 1, 2): True}
+    assert decode_network(model, vm).layers == (((1, 2),),)
     f, vm = build_instance(4, 4, 5)
     out = solve(f, external_cfg)
     assert out.status == SAT
     net = decode_network(out.model, vm)
-    assert net.depth == 4
+    assert net.depth <= 4 and net.layers[-1]
     assert is_sorting_network(net)
 
 
