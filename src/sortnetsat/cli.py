@@ -26,6 +26,10 @@ from sortnetsat.words import (
 )
 
 
+class UsageError(Exception):
+    """Command-line arguments that the command cannot run with."""
+
+
 def _encode_options(args: argparse.Namespace) -> EncodeOptions:
     return EncodeOptions(
         redundant_sorts=not args.no_redundant_sorts,
@@ -56,6 +60,8 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
 
 
 def cmd_prefixes(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise UsageError(f"n must be positive, got {args.n}")
     if args.count_only:
         print(count_prefixes(args.n, args.variant))
         return 0
@@ -93,10 +99,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    if args.n < 2:
+        raise UsageError(f"optimize needs n >= 2, got {args.n}")
     if args.mode == "size" and args.depth is None:
-        raise SystemExit("optimize --mode size needs --depth")
+        raise UsageError("optimize --mode size needs --depth")
     if args.mode == "depth" and args.size is None:
-        raise SystemExit("optimize --mode depth needs --size")
+        raise UsageError("optimize --mode depth needs --size")
     mode = {
         "size": "min_size_given_depth",
         "depth": "min_depth_given_size",
@@ -218,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (EncodingError, WordError) as exc:
+    except (EncodingError, WordError, UsageError) as exc:
         parser.error(str(exc))
 
 

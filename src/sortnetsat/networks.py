@@ -152,14 +152,8 @@ def unsorted_outputs(prefix: Network) -> set[Bits]:
 
     These are exactly the inputs a suffix network must still sort.
     """
-    n = prefix.n
-    out: set[Bits] = set()
-    for t in range(1 << n):
-        bits = tuple((t >> (n - i)) & 1 for i in range(1, n + 1))
-        y = apply_network(prefix, bits)
-        if not is_sorted_bits(y):
-            out.add(y)
-    return out
+    outputs = (apply_network(prefix, x) for x in all_inputs(prefix.n))
+    return {y for y in outputs if not is_sorted_bits(y)}
 
 
 def all_inputs(n: int) -> list[Bits]:

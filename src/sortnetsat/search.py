@@ -87,11 +87,12 @@ class SearchResult:
     @classmethod
     def from_record(cls, rec: dict) -> "SearchResult":
         """The result a catalog record holds, its witness without trailing
-        empty layers.  ValueError for a record that is not a JSON object, or a
-        SAT record whose witness does not fit its own (n, d, s) or does not
-        sort."""
+        empty layers.  ValueError for a record that is not a JSON object, has a
+        field of the wrong type or an unknown status, or is a SAT record whose
+        witness does not fit its own (n, d, s) or does not sort."""
         if not isinstance(rec, dict):
             raise ValueError("not a JSON object")
+        _check_field_types(rec)
         net = None
         if rec.get("network"):
             net = Network.make(rec["network"]["n"], rec["network"]["layers"]).trimmed()
@@ -107,6 +108,33 @@ class SearchResult:
                 f"SAT witness does not fit (n={res.n}, d={res.d}, s={res.s}) or does not sort"
             )
         return res
+
+
+def _is_int(value: object) -> bool:
+    # JSON true and false load as bools, which Python counts as ints
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_field_types(rec: dict) -> None:
+    """ValueError unless each field of a catalog record has its type and the
+    status is one of SAT, UNSAT and UNKNOWN."""
+    if not all(_is_int(rec[k]) for k in ("n", "d", "s")):
+        raise ValueError("n, d and s must be integers")
+    if not isinstance(rec.get("prefix"), (str, type(None))):
+        raise ValueError("prefix must be a string or null")
+    if not isinstance(rec["options"], str) or not isinstance(rec.get("solver", ""), str):
+        raise ValueError("options and solver must be strings")
+    if rec["status"] not in (SAT, UNSAT, UNKNOWN):
+        raise ValueError(f"unknown status {rec['status']!r}")
+    timings = rec.get("timings", {})
+    if not isinstance(timings, dict) or not all(
+        _is_int(t) or isinstance(t, float) for t in timings.values()
+    ):
+        raise ValueError("timings must be an object of numbers")
+    implied_by = rec.get("implied_by")
+    is_pair = isinstance(implied_by, list) and len(implied_by) == 2
+    if implied_by is not None and not (is_pair and all(map(_is_int, implied_by))):
+        raise ValueError("implied_by must be null or two integers")
 
 
 def _fits(net: Network | None, n: int, d: int, s: int) -> bool:

@@ -16,14 +16,17 @@ multiset of its component words, e.g. ``(012,0120,1221,1221c)``.  Equal
 sentences mean equal networks up to channel permutation, which is what makes
 sentence enumeration a complete, symmetry-reduced prefix generator.
 
-Words are plain strings (cycles carry a trailing ``c``); sentences are sorted
-tuples of words.  Ordinary string comparison gives the intended order since
-``'0' < '1' < '2' < 'c'``.
+A component reads as several words (from either end of a path, from any
+first-layer comparator of a cycle); its word is the least of them, and
+``canonical_word`` alone picks it.  Words are plain strings (cycles carry a
+trailing ``c``); sentences are sorted tuples of words.  Ordinary string
+comparison gives the intended order since ``'0' < '1' < '2' < 'c'``.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -46,10 +49,11 @@ class WordError(ValueError):
 # word basics
 
 
+_PAIRS = re.compile("(?:12|21)+")
+
+
 def _pairs_valid(core: str) -> bool:
-    if not core or len(core) % 2:
-        return False
-    return all(core[t : t + 2] in ("12", "21") for t in range(0, len(core), 2))
+    return _PAIRS.fullmatch(core) is not None
 
 
 def word_kind(word: Word) -> str:
@@ -108,94 +112,33 @@ def reflect_word(word: Word) -> Word:
     return canonical_word(word.translate(_SWAP12))
 
 
+# the words of each kind: fixed characters around a run of 12/21 pairs, and
+# the fewest pairs that run holds (every cycle has a reading that starts 12)
+_WORD_SHAPES = {
+    HEAD: ("0", "", 0),
+    STICK: ("", "", 1),
+    CYCLE: ("12", "c", 0),
+    TAIL: ("0", "0", 1),
+}
+
+
 def enumerate_words(channels: int, kind: str) -> list[Word]:
     """All canonical words of one kind covering exactly ``channels`` channels.
 
-    Returns the empty list when the parity does not fit the kind.
+    Returns the empty list when no word of the kind covers that many channels.
     """
-    if kind == HEAD:
-        if channels % 2 == 0 or channels < 1:
-            return []
-        if channels == 1:
-            return ["0"]
-        return sorted(
-            "0" + "".join(p) for p in product(("12", "21"), repeat=(channels - 1) // 2)
-        )
-    if channels % 2 or channels < 2:
+    if kind not in _WORD_SHAPES:
+        raise ValueError(f"unknown word kind {kind!r}")
+    lead, trail, fewest = _WORD_SHAPES[kind]
+    pairs, odd = divmod(channels - word_channels(lead + trail), 2)
+    if odd or pairs < fewest:
         return []
-    if kind == STICK:
-        cores = {"".join(p) for p in product(("12", "21"), repeat=channels // 2)}
-        return sorted({min(c, c[::-1]) for c in cores})
-    if kind == TAIL:
-        if channels < 4:
-            return []
-        return ["0" + s + "0" for s in enumerate_words(channels - 2, STICK)]
-    if kind == CYCLE:
-        out = set()
-        for p in product(("12", "21"), repeat=channels // 2 - 1):
-            core = "12" + "".join(p)
-            out.add(_canonical_cycle_core(core))
-        return sorted(w + "c" for w in out)
-    raise ValueError(f"unknown word kind {kind!r}")
+    raw = (lead + "".join(p) + trail for p in product(("12", "21"), repeat=pairs))
+    return sorted({canonical_word(w) for w in raw})
 
 
 # ---------------------------------------------------------------------------
 # network -> sentence
-
-
-def _component_word(
-    chans: list[int], l1: dict[int, int], l2: dict[int, int]
-) -> Word:
-    def char(c: int) -> str:
-        if c not in l1:
-            return "0"
-        return "2" if c < l1[c] else "1"
-
-    if len(chans) == 1:
-        return "0"
-    if not any(c in l1 for c in chans):
-        # a single comparator living only in layer 2 acts exactly like the
-        # one-comparator first-layer network, which already represents it
-        return "12"
-
-    def walk(start: int, first_l1: bool) -> str:
-        seq = [start]
-        use_l1 = first_l1
-        cur = start
-        while True:
-            nxt = (l1 if use_l1 else l2).get(cur)
-            if nxt is None:
-                break
-            seq.append(nxt)
-            cur = nxt
-            use_l1 = not use_l1
-        return "".join(char(c) for c in seq)
-
-    free = [c for c in chans if c not in l1]
-    if len(chans) % 2:
-        return walk(free[0], first_l1=False)
-    if len(free) == 2:
-        return min(walk(free[0], False), walk(free[1], False))
-    ends = [c for c in chans if c not in l2]
-    if ends:
-        return min(walk(ends[0], True), walk(ends[1], True))
-    # cycle: try every first-layer comparator in both directions
-    best = None
-    edges = sorted({(min(c, l1[c]), max(c, l1[c])) for c in chans})
-    for a, b in edges:
-        for s, t in ((a, b), (b, a)):
-            seq = [s, t]
-            cur = t
-            use_l1 = False
-            while len(seq) < len(chans):
-                cur = (l1 if use_l1 else l2)[cur]
-                seq.append(cur)
-                use_l1 = not use_l1
-            cand = "".join(char(c) for c in seq)
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return best + "c"
 
 
 def _layer_maps(net: Network) -> tuple[dict[int, int], dict[int, int]]:
@@ -209,26 +152,39 @@ def _layer_maps(net: Network) -> tuple[dict[int, int], dict[int, int]]:
     return maps[0], maps[1]
 
 
+def _read_component(
+    start: int, l1: dict[int, int], l2: dict[int, int], seen: set[int]
+) -> Word:
+    """Word of the component of ``start`` as read from ``start``, an end of
+    its path or any channel of a cycle; marks the channels seen."""
+    step, next_step = (l1, l2) if start in l1 else (l2, l1)
+    chars: list[str] = []
+    cur: int | None = start
+    while cur is not None and cur not in seen:
+        seen.add(cur)
+        chars.append("0" if cur not in l1 else "2" if cur < l1[cur] else "1")
+        cur = step.get(cur)
+        step, next_step = next_step, step
+    word = "".join(chars)
+    if cur is not None:  # back at the start: a cycle
+        return word + "c"
+    # a single comparator living only in layer 2 acts exactly like the
+    # one-comparator first-layer network, which already represents it
+    return "12" if word == "00" else word
+
+
 def sentence_of(net: Network) -> Sentence:
     """Canonical sentence of a network with at most two layers."""
     l1, l2 = _layer_maps(net)
+    channels = range(1, net.n + 1)
+    # each path is read from an end: a free channel if it has one, else a
+    # channel without a layer-2 comparator; the channels left are on cycles
+    ends = [c for c in channels if c not in l1] + [c for c in channels if c not in l2]
     seen: set[int] = set()
     words: list[Word] = []
-    for c in range(1, net.n + 1):
-        if c in seen:
-            continue
-        comp = [c]
-        seen.add(c)
-        stack = [c]
-        while stack:
-            v = stack.pop()
-            for m in (l1, l2):
-                w = m.get(v)
-                if w is not None and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        words.append(_component_word(sorted(comp), l1, l2))
+    for c in ends + list(channels):
+        if c not in seen:
+            words.append(canonical_word(_read_component(c, l1, l2, seen)))
     return tuple(sorted(words))
 
 
@@ -311,7 +267,9 @@ def format_sentence(sentence: Sentence) -> str:
 
 
 def parse_sentence(text: str) -> Sentence:
-    """Parse ``(w1,w2,...)`` (parentheses optional) into a sorted sentence."""
+    """Parse ``(w1,w2,...)`` (parentheses optional) into a sorted sentence.
+
+    Every word must be canonical, so that one class has one spelling."""
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
@@ -319,7 +277,8 @@ def parse_sentence(text: str) -> Sentence:
         raise WordError(f"empty sentence {text!r}")
     words = tuple(w.strip() for w in body.split(","))
     for w in words:
-        word_kind(w)
+        if canonical_word(w) != w:
+            raise WordError(f"word {w!r} is not canonical; write {canonical_word(w)!r}")
     return tuple(sorted(words))
 
 

@@ -55,6 +55,25 @@ def builtin_cfg() -> SolverConfig:
     return SolverConfig("builtin", timeout=300)
 
 
+def matchings(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """Every layer on n channels: all matchings, sorted."""
+    out: list[tuple[tuple[int, int], ...]] = []
+
+    def rec(avail: list[int], acc: list[tuple[int, int]]) -> None:
+        out.append(tuple(acc))
+        if len(avail) < 2:
+            return
+        first, rest = avail[0], avail[1:]
+        rec(rest, acc)
+        for k, other in enumerate(rest):
+            acc.append((first, other))
+            rec(rest[:k] + rest[k + 1 :], acc)
+            acc.pop()
+
+    rec(list(range(1, n + 1)), [])
+    return sorted(set(out))
+
+
 def random_two_layer(rng: random.Random, n: int) -> Network:
     def matching() -> list[tuple[int, int]]:
         chans = list(range(1, n + 1))

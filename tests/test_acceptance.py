@@ -30,7 +30,7 @@ from sortnetsat.words import (
     reflect_sentence,
     sentence_of,
 )
-from tests.conftest import random_two_layer
+from tests.conftest import matchings, random_two_layer
 
 # reference cardinalities of the complete prefix sets, n = 3..16 (and the
 # extended tail up to 26): H, T, T', G
@@ -70,28 +70,10 @@ def test_criterion_1_extended_counts_to_26():
         assert got == expected, f"n={n}: {got} != {expected}"
 
 
-def _matchings(n: int) -> list[tuple[tuple[int, int], ...]]:
-    out: list[tuple[tuple[int, int], ...]] = []
-
-    def rec(avail: list[int], acc: list[tuple[int, int]]) -> None:
-        out.append(tuple(acc))
-        if len(avail) < 2:
-            return
-        first, rest = avail[0], avail[1:]
-        rec(rest, acc)
-        for k, other in enumerate(rest):
-            acc.append((first, other))
-            rec(rest[:k] + rest[k + 1 :], acc)
-            acc.pop()
-
-    rec(list(range(1, n + 1)), [])
-    return sorted(set(out))
-
-
 def test_criterion_2_completeness_against_exhaustive_enumeration():
     start = time.monotonic()
     for n in range(3, 8):
-        layers = _matchings(n)
+        layers = matchings(n)
         classes = {
             sentence_of(Network(n, (l1, l2)))
             for l1 in layers

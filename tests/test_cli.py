@@ -127,8 +127,13 @@ def test_optimize_pareto_prints_its_witnesses(tmp_path, capsys):
         (["solve", "4", "1", "2", "--backend", "builtin", "--prefix", "(1212)"],
          "start layer 2 needs d >= 2"),
         (["encode", "4", "3", "5", "--prefix", "(1x2)"], "malformed word '1x2'"),
+        (["encode", "4", "3", "5", "--prefix", "(21,21)"], "word '21' is not canonical; write '12'"),
+        (["prefixes", "0"], "n must be positive, got 0"),
+        (["optimize", "1", "--mode", "pareto"], "optimize needs n >= 2, got 1"),
+        (["optimize", "5", "--mode", "size"], "optimize --mode size needs --depth"),
     ],
-    ids=["prefix-too-deep", "malformed-prefix"],
+    ids=["prefix-too-deep", "malformed-prefix", "non-canonical-prefix", "no-channels",
+         "one-channel-optimize", "size-mode-without-depth"],
 )
 def test_input_errors_are_reported_without_a_traceback(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

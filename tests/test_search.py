@@ -96,8 +96,11 @@ def test_catalog_skips_corrupt_lines(tmp_path):
     path = tmp_path / "cat.jsonl"
     rec = SearchResult(2, 1, 1, None, "k", UNSAT, None).record()
     bad_layers = rec | {"status": SAT, "network": {"n": 2, "layers": 5}}
+    mistyped = [{"prefix": 5}, {"prefix": [1]}, {"prefix": "(21)"}, {"d": None}, {"s": True},
+                {"options": 3}, {"solver": None}, {"status": "MAYBE"}, {"implied_by": [1]},
+                {"timings": 5}, {"timings": {"solve_s": "1"}}]
     lines = ["this is not json", json.dumps(rec), '{"n": 1}', "[1, 2]", "null", "42",
-             json.dumps(bad_layers)]
+             json.dumps(bad_layers), *(json.dumps(rec | field) for field in mistyped)]
     path.write_text("".join(line + "\n" for line in lines))
     with pytest.warns(UserWarning, match="skipping corrupt record") as caught:
         cat = ResultCatalog(path)

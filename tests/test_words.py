@@ -1,8 +1,9 @@
 import random
+from itertools import permutations
 
 import pytest
 
-from sortnetsat.networks import Network, all_inputs, apply_network, reflect
+from sortnetsat.networks import Network, all_inputs, apply_network, permute_untangle, reflect
 from sortnetsat.words import (
     WordError,
     canonical_word,
@@ -18,7 +19,7 @@ from sortnetsat.words import (
     word_kind,
     word_of,
 )
-from tests.conftest import random_two_layer
+from tests.conftest import matchings, random_two_layer
 
 # the worked 15-channel example with one component of each shape
 FOUR_SHAPES = Network.make(
@@ -62,6 +63,11 @@ def test_word_of_second_layer_only_comparator():
     assert word_of(Network.make(2, [[], [(1, 2)]])) == "12"
 
 
+def test_word_of_head_is_read_from_its_free_end():
+    # the free channel 3 starts the word although channel 1 is the other end
+    assert word_of(Network.make(3, [[(1, 2)], [(2, 3)]])) == "012"
+
+
 def test_word_of_rejects_disconnected():
     with pytest.raises(ValueError):
         word_of(Network.make(4, [[(1, 2), (3, 4)], []]))
@@ -84,6 +90,22 @@ def test_sentence_equal_up_to_permutation():
     other = permute_untangle(FOUR_SHAPES, perm)
     assert other != FOUR_SHAPES
     assert sentence_of(other) == sentence_of(FOUR_SHAPES)
+
+
+def test_sentence_is_invariant_under_every_relabeling():
+    # every two-layer network on up to 5 channels, under every permutation
+    relabelings = 0
+    for n in range(1, 6):
+        layers = matchings(n)
+        perms = list(permutations(range(1, n + 1)))
+        for l1 in layers:
+            for l2 in layers:
+                net = Network(n, (l1, l2))
+                sentence = sentence_of(net)
+                for perm in perms:
+                    assert sentence_of(permute_untangle(net, perm)) == sentence
+                relabelings += len(perms)
+    assert relabelings == 83625
 
 
 def test_sentence_of_rejects_deep_networks():
@@ -162,6 +184,11 @@ def test_enumerate_tail_words():
     assert enumerate_words(8, "tail") == ["01212120", "01212210", "01221120", "02112120"]
 
 
+def test_enumerate_words_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown word kind"):
+        enumerate_words(4, "loop")
+
+
 def test_canonical_word():
     assert canonical_word("2121") == "1212"
     assert canonical_word("0210") == "0120"
@@ -188,6 +215,13 @@ def test_parse_sentence_forms():
     assert parse_sentence("( 12 , 0 )") == ("0", "12")
     with pytest.raises(WordError):
         parse_sentence("()")
+
+
+@pytest.mark.parametrize("text, canonical", [("(21)", "12"), ("(0,2112c)", "1221c")])
+def test_parse_sentence_rejects_non_canonical_words(text, canonical):
+    # one class, one spelling: (21) would otherwise name the class of (12)
+    with pytest.raises(WordError, match=f"not canonical; write '{canonical}'"):
+        parse_sentence(text)
 
 
 def test_two_layer_networks_map_into_the_prefix_universe():
