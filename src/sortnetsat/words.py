@@ -16,17 +16,24 @@ multiset of its component words, e.g. ``(012,0120,1221,1221c)``.  Equal
 sentences mean equal networks up to channel permutation, which is what makes
 sentence enumeration a complete, symmetry-reduced prefix generator.
 
-A component reads as several words (from either end of a path, from any
-first-layer comparator of a cycle); its word is the least of them, and
-``canonical_word`` alone picks it.  Words are plain strings (cycles carry a
-trailing ``c``); sentences are sorted tuples of words.  Ordinary string
-comparison gives the intended order since ``'0' < '1' < '2' < 'c'``.
+Each kind is one pattern of a single grammar table, ``_GRAMMAR``: fixed
+characters around a run of ``12``/``21`` pairs.  ``word_kind`` classifies a
+word by that table and ``enumerate_words`` writes out its words.  A component
+reads as several words (from either end of a path, from any first-layer
+comparator of a cycle); its word is the least of them, and ``canonical_word``
+alone picks it.  The canonical words on at most n channels are built once
+into one cached pool, which feeds both the sentence enumeration and the
+closed-form counts.  Words are plain strings (cycles carry a trailing
+``c``); sentences are sorted tuples of words.  Ordinary string comparison
+gives the intended order since ``'0' < '1' < '2' < 'c'``.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -49,32 +56,25 @@ class WordError(ValueError):
 # word basics
 
 
-_PAIRS = re.compile("(?:12|21)+")
-
-
-def _pairs_valid(core: str) -> bool:
-    return _PAIRS.fullmatch(core) is not None
+# each kind's words: fixed characters around a run of 12/21 pairs, and the
+# fewest pairs that run holds; a cycle may be read from any of its rotations
+_GRAMMAR = {
+    HEAD: ("0", "", 0),
+    STICK: ("", "", 1),
+    CYCLE: ("", "c", 1),
+    TAIL: ("0", "0", 1),
+}
+_PATTERNS = {
+    kind: re.compile(lead + "(?:12|21)" + ("+" if fewest else "*") + trail)
+    for kind, (lead, trail, fewest) in _GRAMMAR.items()
+}
 
 
 def word_kind(word: Word) -> str:
     """Classify a grammar-valid word; raises WordError otherwise."""
-    if word.endswith("c"):
-        # any pair-valid rotation names the cycle; the canonical one starts 12
-        if _pairs_valid(word[:-1]):
-            return CYCLE
-        raise WordError(f"malformed cycle word {word!r}")
-    if word == "0":
-        return HEAD
-    if word.startswith("0"):
-        if word.endswith("0") and len(word) > 1:
-            if _pairs_valid(word[1:-1]):
-                return TAIL
-            raise WordError(f"malformed tail word {word!r}")
-        if _pairs_valid(word[1:]):
-            return HEAD
-        raise WordError(f"malformed head word {word!r}")
-    if _pairs_valid(word):
-        return STICK
+    for kind, pattern in _PATTERNS.items():
+        if pattern.fullmatch(word):
+            return kind
     raise WordError(f"malformed word {word!r}")
 
 
@@ -112,24 +112,14 @@ def reflect_word(word: Word) -> Word:
     return canonical_word(word.translate(_SWAP12))
 
 
-# the words of each kind: fixed characters around a run of 12/21 pairs, and
-# the fewest pairs that run holds (every cycle has a reading that starts 12)
-_WORD_SHAPES = {
-    HEAD: ("0", "", 0),
-    STICK: ("", "", 1),
-    CYCLE: ("12", "c", 0),
-    TAIL: ("0", "0", 1),
-}
-
-
 def enumerate_words(channels: int, kind: str) -> list[Word]:
     """All canonical words of one kind covering exactly ``channels`` channels.
 
     Returns the empty list when no word of the kind covers that many channels.
     """
-    if kind not in _WORD_SHAPES:
+    if kind not in _GRAMMAR:
         raise ValueError(f"unknown word kind {kind!r}")
-    lead, trail, fewest = _WORD_SHAPES[kind]
+    lead, trail, fewest = _GRAMMAR[kind]
     pairs, odd = divmod(channels - word_channels(lead + trail), 2)
     if odd or pairs < fewest:
         return []
@@ -305,25 +295,21 @@ def _normalize_variant(variant: str) -> str:
 
 
 @lru_cache(maxsize=None)
-def _word_pool(n: int) -> tuple[tuple[Word, int, int], ...]:
-    """All canonical words on at most n channels as (word, channels, zeros),
-    sorted by word string."""
-    pool: list[tuple[Word, int, int]] = []
-    for length in range(1, n + 1):
-        for kind in (HEAD, STICK, CYCLE, TAIL):
-            for w in enumerate_words(length, kind):
-                pool.append((w, length, w.count("0")))
-    pool.sort()
-    return tuple(pool)
+def _word_pool(n: int) -> tuple[Word, ...]:
+    """All canonical words on at most n channels, in string order: the pool
+    for n - 1 and the words on exactly n channels."""
+    if n == 0:
+        return ()
+    widest = [w for kind in _GRAMMAR for w in enumerate_words(n, kind)]
+    return tuple(sorted(_word_pool(n - 1) + tuple(widest)))
 
 
 @lru_cache(maxsize=None)
 def _all_sentences(n: int) -> tuple[Sentence, ...]:
     """R(H_n): every multiset of canonical words totalling n channels,
     generated directly in sorted word order so each appears exactly once."""
-    pool = _word_pool(n)
-    words = [p[0] for p in pool]
-    chans = [p[1] for p in pool]
+    words = _word_pool(n)
+    chans = [word_channels(w) for w in words]
     out: list[Sentence] = []
     acc: list[Word] = []
 
@@ -381,11 +367,7 @@ def generate_prefixes(n: int, variant: str = "T'") -> PrefixSet:
 
 
 # ---------------------------------------------------------------------------
-# closed-form counting (independent of the enumeration above)
-
-
-def _kind_counts(length: int) -> dict[str, int]:
-    return {k: len(enumerate_words(length, k)) for k in (HEAD, STICK, CYCLE, TAIL)}
+# closed-form counting (independent of the sentence enumeration above)
 
 
 def _multiset_count(items: list[tuple[int, int]], total: int) -> int:
@@ -394,7 +376,7 @@ def _multiset_count(items: list[tuple[int, int]], total: int) -> int:
     dp = [0] * (total + 1)
     dp[0] = 1
     for weight, choices in items:
-        if choices == 0 or weight > total:
+        if weight > total:
             continue
         new = [0] * (total + 1)
         for used in range(0, total // weight + 1):
@@ -406,72 +388,41 @@ def _multiset_count(items: list[tuple[int, int]], total: int) -> int:
     return dp[total]
 
 
-def _pool_items(n: int, drop_redundant: bool, zero_free: bool) -> list[tuple[int, int]]:
-    items = []
-    for length in range(1, n + 1):
-        counts = _kind_counts(length)
-        total = 0
-        for kind in (HEAD, STICK, CYCLE, TAIL):
-            if zero_free and kind in (HEAD, TAIL):
-                continue
-            c = counts[kind]
-            if kind == CYCLE and drop_redundant and length == 2:
-                c -= 1  # the redundant-comparator word 12c
-            total += c
-        if total:
-            items.append((length, total))
-    return items
-
-
-def _reflection_orbit_items(n: int, drop_redundant: bool) -> list[tuple[int, int]]:
-    """Item groups for reflection-invariant sentences: fixed words count with
-    weight l, and each {w, mirror} pair must be used in equal numbers, i.e. as
-    a single item of weight 2l."""
-    items: list[tuple[int, int]] = []
-    for length in range(1, n + 1):
-        fixed = 0
-        paired = 0
-        for kind in (HEAD, STICK, CYCLE, TAIL):
-            for w in enumerate_words(length, kind):
-                if drop_redundant and w == "12c":
-                    continue
-                r = reflect_word(w)
-                if r == w:
-                    fixed += 1
-                elif w < r:
-                    paired += 1
-        if fixed:
-            items.append((length, fixed))
-        if paired and 2 * length <= n:
-            items.append((2 * length, paired))
-    return items
+def _items(weights: Iterable[int]) -> list[tuple[int, int]]:
+    """The (weight, distinct choices) item groups of ``_multiset_count``:
+    one group per weight, holding as many choices as the weight occurs."""
+    return list(Counter(weights).items())
 
 
 def count_prefixes(n: int, variant: str = "T'") -> int:
     """|R(H_n)| / |R(T_n)| / |R(T'_n)| / |R(G_n)| by direct counting.
 
-    Uses stars-and-bars convolutions over the canonical word pool, so it
-    scales far beyond what materializing the sets does (n = 26 is instant).
+    Uses stars-and-bars convolutions over the cached canonical word pool, so
+    it scales far beyond what materializing the sets does.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     variant = _normalize_variant(variant)
+    pool = _word_pool(n)
     if variant == "H":
-        return _multiset_count(_pool_items(n, False, False), n)
+        return _multiset_count(_items(map(word_channels, pool)), n)
     if variant == "G":
+        zero_free = _items(word_channels(w) for w in pool if "0" not in w)
         if n % 2 == 0:
-            return _multiset_count(_pool_items(n, False, True), n)
-        zero_free = _pool_items(n, False, True)
-        total = 0
-        for length in range(1, n + 1, 2):
-            heads = len(enumerate_words(length, HEAD))
-            if heads:
-                total += heads * _multiset_count(zero_free, n - length)
-        return total
+            return _multiset_count(zero_free, n)
+        # one head word (the only words with a single free channel) per sentence
+        heads = _items(word_channels(w) for w in pool if w.count("0") == 1)
+        return sum(k * _multiset_count(zero_free, n - c) for c, k in heads)
     # T: drop 12c-containing sentences and those with an empty second layer;
     # the latter are the multisets over {0, 12}, one per number of comparators
-    t_count = _multiset_count(_pool_items(n, True, False), n) - (n // 2 + 1)
+    words = [w for w in pool if w != "12c"]
+    t_count = _multiset_count(_items(map(word_channels, words)), n) - (n // 2 + 1)
     if variant == "T":
         return t_count
-    invariant = _multiset_count(_reflection_orbit_items(n, True), n) - (n // 2 + 1)
+    # reflection-invariant sentences: a fixed word counts with its own weight,
+    # and each {w, mirror} pair is used in equal numbers, as one item of twice it
+    mirrors = [reflect_word(w) for w in words]
+    fixed = _items(word_channels(w) for w, r in zip(words, mirrors) if w == r)
+    paired = _items(2 * word_channels(w) for w, r in zip(words, mirrors) if w < r)
+    invariant = _multiset_count(fixed + paired, n) - (n // 2 + 1)
     return (t_count + invariant) // 2

@@ -63,7 +63,6 @@ def test_criterion_1_prefix_set_cardinalities():
     assert time.monotonic() - start < 60.0
 
 
-@pytest.mark.extended
 def test_criterion_1_extended_counts_to_26():
     for n, expected in PREFIX_TABLE_EXTENDED.items():
         got = tuple(count_prefixes(n, v) for v in ("H", "T", "T'", "G"))

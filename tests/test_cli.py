@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -131,11 +132,30 @@ def test_optimize_pareto_prints_its_witnesses(tmp_path, capsys):
         (["prefixes", "0"], "n must be positive, got 0"),
         (["optimize", "1", "--mode", "pareto"], "optimize needs n >= 2, got 1"),
         (["optimize", "5", "--mode", "size"], "optimize --mode size needs --depth"),
+        (["optimize", "4", "--mode", "size", "--depth", "0"], "--depth must be at least 1, got 0"),
+        (["optimize", "4", "--mode", "size", "--depth", "3", "--jobs", "0"],
+         "--jobs must be at least 1, got 0"),
+        (["solve", "4", "3", "5", "--timeout", "0"], "--timeout must be positive, got 0"),
+        (["verify", "missing.json"], "cannot read missing.json: "),
+        (["render", "missing.json", "-o", "net.svg"], "cannot read missing.json: "),
+        (["verify", "text.json"], "text.json: not a network file: Expecting value"),
+        (["verify", "no-layers.json"], "no-layers.json: network file lacks the field 'layers'"),
+        (["render", "no-layers.json", "-o", "net.svg"],
+         "no-layers.json: network file lacks the field 'layers'"),
+        (["verify", "out-of-range.json"],
+         "out-of-range.json: not a network file: comparator (1, 5) out of range for n=3"),
     ],
     ids=["prefix-too-deep", "malformed-prefix", "non-canonical-prefix", "no-channels",
-         "one-channel-optimize", "size-mode-without-depth"],
+         "one-channel-optimize", "size-mode-without-depth", "depth-zero", "no-jobs",
+         "no-timeout", "verify-missing-file", "render-missing-file", "verify-non-json",
+         "verify-no-layers", "render-no-layers", "verify-comparator-out-of-range"],
 )
-def test_input_errors_are_reported_without_a_traceback(capsys, argv, message):
+def test_input_errors_are_reported_without_a_traceback(tmp_path, monkeypatch, capsys,
+                                                        argv, message):
+    monkeypatch.chdir(tmp_path)
+    Path("text.json").write_text("not json\n")
+    Path("no-layers.json").write_text(json.dumps({"n": 3}))
+    Path("out-of-range.json").write_text(json.dumps({"n": 3, "layers": [[[1, 5]]]}))
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -3,6 +3,8 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 from sortnetsat.solving import SOLVER_ENV_VAR
 from sortnetsat.words import format_sentence, generate_prefixes
 
@@ -13,12 +15,13 @@ PROGRESS = re.compile(
 )
 
 
-def _scan(monkeypatch, capsys, catalog: Path, level=("4", "3", "4")) -> tuple[int, str]:
+def _scan(monkeypatch, capsys, catalog: Path, level=("4", "3", "4"),
+          *flags: str) -> tuple[int, str]:
     spec = importlib.util.spec_from_file_location("theorem_scan", SCRIPT)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     monkeypatch.setattr("sys.argv", [str(SCRIPT), *level, "--jobs", "2",
-                                     "--catalog", str(catalog)])
+                                     "--catalog", str(catalog), *flags])
     rc = mod.main()
     return rc, capsys.readouterr().out
 
@@ -85,3 +88,31 @@ def test_theorem_scan_solves_only_what_a_larger_level_leaves_open(
     assert sorted(m[3] for m in implied) == sorted(set(r["prefix"] for r in above) - witnesses)
     assert all((m[5], m[6], m[4]) == ("3", "5", "UNSAT") for m in implied)
     assert f"{len(implied)} implied by other records" in out
+
+
+@pytest.mark.parametrize(
+    "level, flags, message",
+    [
+        (("5", "1", "3"), (), "a prefix pins two layers, so d must be at least 2, got 1"),
+        (("4", "3", "0"), (), "s must be positive, got 0"),
+        (("2", "3", "1"), (), "T'_2 is empty: there is no prefix to scan"),
+        (("0", "3", "1"), (), "n must be positive, got 0"),
+        (("4", "3", "4"), ("--jobs", "0"), "--jobs must be at least 1, got 0"),
+        (("4", "3", "4"), ("--timeout", "0"), "--timeout must be positive, got 0"),
+    ],
+    ids=["one-layer", "no-comparators", "empty-prefix-set", "no-channels", "no-jobs", "no-timeout"],
+)
+def test_theorem_scan_rejects_a_level_it_cannot_scan(tmp_path, monkeypatch, capsys,
+                                                     level, flags, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr("sortnetsat.solving.default_config", unreachable)
+    monkeypatch.setattr("sortnetsat.search.run_level", unreachable)
+    catalog = tmp_path / "scan.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        _scan(monkeypatch, capsys, catalog, level, *flags)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"theorem_scan.py: error: {message}" in err and "Traceback" not in err
+    assert not catalog.exists()

@@ -3,10 +3,12 @@ from itertools import permutations
 
 import pytest
 
+from sortnetsat import words
 from sortnetsat.networks import Network, all_inputs, apply_network, permute_untangle, reflect
 from sortnetsat.words import (
     WordError,
     canonical_word,
+    count_prefixes,
     enumerate_words,
     format_sentence,
     generate_prefixes,
@@ -40,9 +42,26 @@ def test_word_kinds_and_channels():
     assert word_channels("1221c") == 4
     assert word_channels("0120") == 4
     assert word_kind("21c") == "cycle"  # non-canonical spelling, same class
-    for bad in ("", "01", "0c", "120", "0121", "1c"):
-        with pytest.raises(WordError):
+    assert word_kind("2112c") == "cycle"
+    assert word_kind("2121") == "stick"
+    for bad in ("", "01", "0c", "120", "0121", "1c", "00", "c", "1", "12c0", "0120c"):
+        with pytest.raises(WordError, match=f"malformed word {bad!r}"):
             word_kind(bad)
+
+
+def test_counting_reads_the_one_cached_word_pool(monkeypatch):
+    calls = []
+    enumerate_words = words.enumerate_words
+    monkeypatch.setattr(words, "enumerate_words",
+                        lambda *args: calls.append(args) or enumerate_words(*args))
+    words._word_pool.cache_clear()
+    for n in (13, 14):
+        words._word_pool(n)
+        built = len(calls)
+        for variant in ("H", "T", "T'", "G"):
+            count_prefixes(n, variant)
+        assert len(calls) == built
+    assert calls  # the counter does see the pool being built
 
 
 def test_word_of_tail_example():
