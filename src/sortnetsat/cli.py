@@ -61,6 +61,18 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
     return default_config(timeout=args.timeout)
 
 
+def _check_output(path: str | None) -> None:
+    """Refuse an output path that is a directory or whose directory does not
+    exist.  Commands check their outputs before any work, so a mistyped path
+    costs no solve."""
+    if path is None:
+        return
+    if Path(path).is_dir():
+        raise UsageError(f"cannot write {path}: it is a directory")
+    if not Path(path).parent.is_dir():
+        raise UsageError(f"cannot write {path}: no directory {Path(path).parent}")
+
+
 def cmd_prefixes(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise UsageError(f"n must be positive, got {args.n}")
@@ -75,11 +87,13 @@ def cmd_prefixes(args: argparse.Namespace) -> int:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
+    _check_output(args.output)
+    _check_output(args.map)
     formula, vm = build_instance(args.n, args.d, args.s, _encode_options(args))
     if args.output:
         with open(args.output, "w") as fh:
             write_dimacs(formula, fh)
-        print(f"wrote {formula.num_vars} vars, {len(formula.clauses)} clauses to {args.output}")
+        print(f"wrote {formula.num_vars} vars, {formula.num_clauses} clauses to {args.output}")
     else:
         write_dimacs(formula, sys.stdout)
     if args.map:
@@ -88,6 +102,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    _check_output(args.output)
     task = SearchTask(args.n, args.d, args.s, _encode_options(args), _solver_config(args))
     catalog = ResultCatalog(args.catalog) if args.catalog else None
     res = run_task(task, catalog)
@@ -111,6 +126,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         raise UsageError(f"--depth must be at least 1, got {args.depth}")
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    _check_output(args.save_witness)
     mode = {
         "size": "min_size_given_depth",
         "depth": "min_depth_given_size",
@@ -162,6 +178,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    _check_output(args.output)
     net = _read_network(args.network)
     svg = render_svg(net)
     Path(args.output).write_text(svg)

@@ -10,11 +10,12 @@ serious should go through an external CDCL solver.
 from __future__ import annotations
 
 import time
+from typing import Iterable
 
 
 def solve_clauses(
     num_vars: int,
-    clauses: list[tuple[int, ...]],
+    clauses: Iterable[tuple[int, ...]],
     deadline: float | None = None,
 ) -> tuple[str, dict[int, bool] | None]:
     """Returns ("SAT", model) / ("UNSAT", None) / ("UNKNOWN", None)."""

@@ -13,13 +13,17 @@ therefore encodes clause by clause only the first input, and the first input
 with each window, and copies every later input's clauses from templates
 derived from those calls.  The output is the same as encoding each input in
 turn; ``ENCODER_VERSION`` names it.
+
+A formula is held as one flat list of int literals in DIMACS order, each
+clause ended by a 0 (``CnfFormula``), so a template writes all of an input's
+clauses with one ``extend`` and no object is made per clause.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from operator import itemgetter, neg
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from sortnetsat import cardinality
 from sortnetsat.networks import Bits, Network, all_inputs, is_sorted_bits, unsorted_outputs
@@ -37,16 +41,65 @@ class EncodingError(ValueError):
 
 @dataclass
 class CnfFormula:
-    """A growing clause list.  ``num_vars`` is not derived from the clauses:
-    ``build_instance`` copies it from the VarMap that numbered them."""
+    """A growing formula, stored in DIMACS order as one flat list: ``lits``
+    holds the literals of every clause, each clause ended by a 0, and
+    ``num_clauses`` counts the clauses.  No object is made per clause.
+
+    This class alone knows that layout.  Readers of a whole formula take its
+    clause-aligned ``slices``; ``clauses`` yields the clauses as tuples, for
+    the builtin solver and for tests.  ``num_vars`` is not derived from the
+    clauses: ``build_instance`` copies it from the VarMap that numbered them.
+    """
 
     num_vars: int = 0
-    clauses: list[tuple[int, ...]] = field(default_factory=list)
+    lits: list[int] = field(default_factory=list)
+    num_clauses: int = 0
 
     def add(self, *lits: int) -> None:
-        if not lits:
-            raise EncodingError("refusing to add an empty clause")
-        self.clauses.append(lits)
+        if not lits or 0 in lits:
+            raise EncodingError(f"refusing to add the clause {lits}: it needs nonzero literals")
+        self.lits += lits
+        self.lits.append(0)
+        self.num_clauses += 1
+
+    def add_entries(self, entries: Iterable[int], num_clauses: int) -> None:
+        """Append ``num_clauses`` whole clauses given in the store's own
+        layout, each ended by its 0."""
+        self.lits += entries
+        self.num_clauses += num_clauses
+
+    @property
+    def clauses(self) -> _Clauses:
+        return _Clauses(self)
+
+    def slices(self, size: int) -> Iterator[list[int]]:
+        """The store in order, in slices that each end with a clause's 0:
+        ``size`` entries or a few more, since no clause is split."""
+        lits = self.lits
+        start = 0
+        while start < len(lits):
+            end = lits.index(0, min(start + size, len(lits)) - 1) + 1
+            yield lits[start:end]
+            start = end
+
+
+class _Clauses:
+    """``CnfFormula.clauses``: iterates the clauses as tuples, in order; its
+    length is the clause count, read without a scan."""
+
+    def __init__(self, formula: CnfFormula):
+        self._formula = formula
+
+    def __len__(self) -> int:
+        return self._formula.num_clauses
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        lits = self._formula.lits
+        start = 0
+        while start < len(lits):
+            end = lits.index(0, start)
+            yield tuple(lits[start:end])
+            start = end + 1
 
 
 @dataclass(frozen=True)
@@ -281,30 +334,33 @@ def encode_redundant_sorts(vm: VarMap, formula: CnfFormula, x: Bits) -> None:
 class _Template:
     """The clauses ``encode(vm, formula, x)`` writes, with x's value-chain ids
     abstracted out, so that ``apply`` can write the same clauses for another
-    input's block.  Each clause is one itemgetter over the literal list
-    ``[constants..., +chain ids..., -chain ids...]`` of the input it is applied
-    to, so the clauses of one input share their int objects.
+    input's block.  One itemgetter picks the template's store entries, clause
+    ends included, from the literal list ``[constants..., +chain ids...,
+    -chain ids...]`` of the input it is applied to (0 is one of the
+    constants), so the clauses of one input share their int objects.
 
     ``encode`` must already have run for x, so that every auxiliary it names
     exists: the call made here then writes x's own clauses and no definitions.
-    None of them is a unit clause (``encode_units`` writes those), so each
-    itemgetter returns a tuple.
     """
 
     def __init__(self, vm: VarMap, encode, x: Bits):
         scratch = CnfFormula()
         encode(vm, scratch, x)
         block = vm.block(x)
-        self.constants = sorted({l for c in scratch.clauses for l in c if abs(l) not in block})
+        self.constants = sorted({l for l in scratch.lits if abs(l) not in block})
         pos, width = len(self.constants), len(block)
         where = {l: at for at, l in enumerate(self.constants)}
         where.update(zip(block, range(pos, pos + width)))
         where.update(zip(map(neg, block), range(pos + width, pos + 2 * width)))
-        self.getters = [itemgetter(*map(where.__getitem__, c)) for c in scratch.clauses]
+        picks = list(map(where.__getitem__, scratch.lits))
+        # a clause is a literal and its 0 at least, so two picks or more make
+        # the getter return a tuple; only an empty template has fewer
+        self.get = itemgetter(*picks) if picks else lambda lits: ()
+        self.num_clauses = scratch.num_clauses
 
     def apply(self, formula: CnfFormula, block: range) -> None:
         lits = [*self.constants, *block, *range(-block.start, -block.stop, -1)]
-        formula.clauses.extend([get(lits) for get in self.getters])
+        formula.add_entries(self.get(lits), self.num_clauses)
 
 
 def encode_inputs(
@@ -448,7 +504,8 @@ def build_instance(
         encode_last_layers(vm, formula)
     encode_sigma(vm, formula, options.sigma1, options.sigma2, options.sigma3)
     card = cardinality.build_atmost(vm.g_lits(), s, vm.fresh)
-    formula.clauses.extend(card.clauses)
+    for clause in card.clauses:
+        formula.add(*clause)
     if card.c_target is not None:
         formula.add(-card.c_target)
     formula.num_vars = vm.num_vars

@@ -17,7 +17,7 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass
-from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
 
@@ -67,30 +67,25 @@ class SolveOutcome:
     solver: str
 
 
-# clauses per chunk of write_dimacs: bounds the text and literals held at once
-DIMACS_CHUNK = 1 << 13
+# store entries (literals and clause ends) per slice that write_dimacs and
+# check_model read at once: bounds the text and the copies held at a time
+CHUNK = 1 << 15
 
 
 def write_dimacs(formula: CnfFormula, fh: TextIO) -> None:
-    """Write the DIMACS text of ``formula`` to ``fh``, a chunk of clauses at a
-    time.  A literal beyond num_vars raises ValueError; the chunks before the
-    one holding it have been written by then."""
+    """Write the DIMACS text of ``formula`` to ``fh``, a slice at a time.  A
+    literal beyond num_vars raises ValueError; the slices before the one
+    holding it have been written by then."""
     nv = formula.num_vars
-    clauses = formula.clauses
-    fh.write(f"p cnf {nv} {len(clauses)}\n")
-    # patterns[k] is the "%d ... %d 0" line of a k-literal clause
-    patterns = [" 0\n"]
-    for start in range(0, len(clauses), DIMACS_CHUNK):
-        chunk = clauses[start : start + DIMACS_CHUNK]
-        lits = tuple(chain.from_iterable(chunk))
+    fh.write(f"p cnf {nv} {formula.num_clauses}\n")
+    for entries in formula.slices(CHUNK):
         # num_vars is set by the encoder, not derived from the clauses, and
         # hand-built formulas reach here too: check the range
-        if max(lits, default=0) > nv or -min(lits, default=0) > nv:
+        if max(entries) > nv or -min(entries) > nv:
             raise ValueError("literal beyond num_vars")
-        lengths = list(map(len, chunk))
-        for k in range(len(patterns), max(lengths) + 1):
-            patterns.append(" ".join(["%d"] * k) + " 0\n")
-        fh.write("".join(map(patterns.__getitem__, lengths)) % lits)
+        # each entry is written with a space after it; a clause's 0 (the only
+        # 0 token, since literals are nonzero) ends its line instead
+        fh.write(("%d " * len(entries) % tuple(entries)).replace(" 0 ", " 0\n"))
 
 
 def emit_dimacs(formula: CnfFormula) -> str:
@@ -128,9 +123,24 @@ def parse_solver_output(text: str) -> tuple[str, list[int]]:
 
 
 def check_model(formula: CnfFormula, model: dict[int, bool]) -> bool:
-    """Every clause holds under ``model``; a variable absent from it is false."""
-    true = {v if model.get(v, False) else -v for v in range(1, formula.num_vars + 1)}
-    return not any(map(true.isdisjoint, formula.clauses))
+    """Every clause holds under ``model``; a variable absent from it is false.
+
+    Every literal must lie within num_vars, as ``build_instance`` makes them;
+    both backends fail on a formula that breaks this before a model exists
+    (``write_dimacs`` raises ValueError, the builtin solver IndexError)."""
+    values = [int(model.get(v, False)) for v in range(1, formula.num_vars + 1)]
+    # truth[l] for every literal l: 1 when true, else 0 (a negative l reads
+    # the reversed second half); a clause's 0 reads 2
+    truth = [2, *values, *(1 - t for t in reversed(values))]
+    for entries in formula.slices(CHUNK):
+        # a slice holds a whole clause, so two entries at least, and the
+        # getter returns a tuple.  Without the false literals, a clause no
+        # literal satisfies leaves its 2 first in the slice or right after
+        # the 2 of the clause before it
+        held = bytes(itemgetter(*entries)(truth)).translate(None, b"\0")
+        if held.startswith(b"\2") or b"\2\2" in held:
+            return False
+    return True
 
 
 def _complete_model(formula: CnfFormula, lits: list[int]) -> dict[int, bool]:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from sortnetsat import cli
 from sortnetsat.cli import main
 from sortnetsat.networks import Network
 
@@ -144,11 +145,24 @@ def test_optimize_pareto_prints_its_witnesses(tmp_path, capsys):
          "no-layers.json: network file lacks the field 'layers'"),
         (["verify", "out-of-range.json"],
          "out-of-range.json: not a network file: comparator (1, 5) out of range for n=3"),
+        (["solve", "4", "3", "5", "--backend", "builtin", "-o", "nodir/w.json"],
+         "cannot write nodir/w.json: no directory nodir"),
+        (["encode", "4", "3", "5", "-o", "nodir/i.cnf"],
+         "cannot write nodir/i.cnf: no directory nodir"),
+        (["encode", "4", "3", "5", "--map", "nodir/i.map"],
+         "cannot write nodir/i.map: no directory nodir"),
+        (["optimize", "4", "--mode", "pareto", "--backend", "builtin",
+          "--save-witness", "nodir/w.json"], "cannot write nodir/w.json: no directory nodir"),
+        (["render", "net.json", "-o", "nodir/net.svg"],
+         "cannot write nodir/net.svg: no directory nodir"),
+        (["render", "net.json", "-o", "."], "cannot write .: it is a directory"),
     ],
     ids=["prefix-too-deep", "malformed-prefix", "non-canonical-prefix", "no-channels",
          "one-channel-optimize", "size-mode-without-depth", "depth-zero", "no-jobs",
          "no-timeout", "verify-missing-file", "render-missing-file", "verify-non-json",
-         "verify-no-layers", "render-no-layers", "verify-comparator-out-of-range"],
+         "verify-no-layers", "render-no-layers", "verify-comparator-out-of-range",
+         "solve-output-dir", "encode-output-dir", "encode-map-dir", "optimize-witness-dir",
+         "render-output-dir", "render-output-is-a-directory"],
 )
 def test_input_errors_are_reported_without_a_traceback(tmp_path, monkeypatch, capsys,
                                                         argv, message):
@@ -156,6 +170,15 @@ def test_input_errors_are_reported_without_a_traceback(tmp_path, monkeypatch, ca
     Path("text.json").write_text("not json\n")
     Path("no-layers.json").write_text(json.dumps({"n": 3}))
     Path("out-of-range.json").write_text(json.dumps({"n": 3, "layers": [[[1, 5]]]}))
+    Path("net.json").write_text(Network.make(2, [[(1, 2)]]).to_json())
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    if message.startswith("cannot write"):
+        # an output path is checked before anything is built or solved
+        for name in ("build_instance", "run_task", "optimize", "render_svg"):
+            monkeypatch.setattr(cli, name, no_work)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -34,7 +35,7 @@ def test_valid_clause_counts():
     assert len(f.clauses) == 3 and all(len(c) == 2 for c in f.clauses)
     vm, f = fresh(2, 1)
     encode_valid(vm, f)
-    assert f.clauses == []
+    assert list(f.clauses) == []
     vm, f = fresh(4, 1)
     encode_valid(vm, f)
     assert len(f.clauses) == 12
@@ -99,7 +100,7 @@ def test_sigma_families():
     assert (-vm.g(1, 1, 2), -vm.g(2, 1, 2)) in f.clauses
     vm, f = fresh(3, 1)
     encode_sigma(vm, f, sigma1=False, sigma2=False, sigma3=True)
-    assert f.clauses == [(vm.g(1, 1, 2),), (vm.g(1, 2, 3),)]
+    assert list(f.clauses) == [(vm.g(1, 1, 2),), (vm.g(1, 2, 3),)]
 
 
 def test_prefix_fixes_first_two_layers():
@@ -155,6 +156,42 @@ def test_deterministic_emission():
 def test_add_refuses_an_empty_clause():
     with pytest.raises(EncodingError):
         CnfFormula().add()
+
+
+def test_add_refuses_a_zero_literal():
+    # 0 ends a clause in the store, so it cannot be a literal
+    with pytest.raises(EncodingError):
+        CnfFormula(2).add(1, 0, 2)
+
+
+def test_store_is_flat_and_slices_are_clause_aligned():
+    clauses = [(1, -2), (3,), (-1, 2, -3, 4, -5, 6, 7), (2,), (-4, 5)]
+    f = CnfFormula(7)
+    for c in clauses:
+        f.add(*c)
+    assert f.lits == [1, -2, 0, 3, 0, -1, 2, -3, 4, -5, 6, 7, 0, 2, 0, -4, 5, 0]
+    assert len(f.clauses) == f.num_clauses == 5
+    assert list(f.clauses) == clauses
+    for size in range(1, 20):
+        slices = list(f.slices(size))
+        assert sum(slices, []) == f.lits
+        for piece in slices:
+            # each slice ends with a clause's 0, the first one at or after
+            # its size-th entry
+            assert piece[-1] == 0 and 0 not in piece[size - 1 : -1]
+    assert list(CnfFormula().slices(4)) == [] and list(CnfFormula().clauses) == []
+
+
+def test_flat_store_holds_few_bytes_per_clause():
+    # a tuple per clause cost 82.7 B a clause here; the flat store 44.7 B
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        formula, _vm = build_instance(8, 6, 19)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / len(formula.clauses) <= 60
 
 
 # ENCODER_VERSION -> rows of (n, d, s, prefix, options, num_vars, clauses,
@@ -243,7 +280,7 @@ def test_templates_match_encoding_each_input(monkeypatch, options):
             m.setattr(encoding, "encode_inputs", _encode_each_input)
             ref, ref_vm = build_instance(n, d, n + 1, opts)
         assert fast.num_vars == ref.num_vars, (n, d, prefix)
-        assert fast.clauses == ref.clauses, (n, d, prefix)
+        assert fast == ref, (n, d, prefix)
         assert fast_vm.dump_map() == ref_vm.dump_map(), (n, d, prefix)
 
 

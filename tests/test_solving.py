@@ -77,28 +77,68 @@ def _written(f):
 
 
 def test_write_dimacs_matches_reference_across_chunks(monkeypatch):
-    monkeypatch.setattr(solving, "DIMACS_CHUNK", 3)
-    assert _written(CnfFormula(5)) == _reference_dimacs(CnfFormula(5))
-    for f in _random_formulas():
-        assert _written(f) == _reference_dimacs(f)
-    # the second chunk holds longer clauses than the first
+    for size in (1, 2, 3, 7):
+        monkeypatch.setattr(solving, "CHUNK", size)
+        assert _written(CnfFormula(5)) == _reference_dimacs(CnfFormula(5))
+        for f in _random_formulas():
+            assert _written(f) == _reference_dimacs(f)
+    monkeypatch.setattr(solving, "CHUNK", 3)
+    # the later slices hold longer clauses than the first; the last clause is
+    # longer than a whole slice
     f = formula(9, [(1,), (-2,), (3,), (1, 2), (-4, 5, 6), (7, -8, 9, 1, 2)])
+    assert [len(s) for s in f.slices(3)] == [4, 5, 4, 6]
     assert _written(f) == _reference_dimacs(f)
 
 
 def test_write_dimacs_checks_the_last_chunk(monkeypatch):
-    monkeypatch.setattr(solving, "DIMACS_CHUNK", 2)
+    monkeypatch.setattr(solving, "CHUNK", 2)
     f = formula(3, [(1, 2), (3,), (-1, -3), (2,), (-4, 1)])
     with pytest.raises(ValueError):
         _written(f)
+    # the slices before the one holding the literal are written by then
+    for clauses in ([(1,), (-2, 3), (3, 2, 1, -1, -2, 4)], [(1,), (-2, 3), (4, 2, 1, -1, -2, 3)]):
+        f = formula(3, clauses)
+        assert [len(s) for s in f.slices(2)] == [2, 3, 7]  # the last is longer than a slice
+        out = io.StringIO()
+        with pytest.raises(ValueError, match="literal beyond num_vars"):
+            write_dimacs(f, out)
+        assert out.getvalue() == "p cnf 3 3\n1 0\n-2 3 0\n"
 
 
-def test_check_model_scans_every_clause():
+def _satisfies(f, model):
+    return all(any(model.get(abs(l), False) == (l > 0) for l in c) for c in f.clauses)
+
+
+def test_check_model_scans_every_clause(monkeypatch):
     f = formula(3, [(1, 2), (-1, 3), (2, -3), (-2, -3)])
     assert check_model(f, {1: False, 2: True, 3: False})
     assert not check_model(f, {1: True, 2: True, 3: False})  # breaks (-1, 3)
     assert not check_model(f, {1: True, 2: True, 3: True})  # breaks only the last clause
     assert check_model(CnfFormula(2), {})
+    # two slices, (1, 2) (-1, 3) and (2, -3) (-2, -3): each model breaks one
+    # clause only, the first or the last of a slice
+    monkeypatch.setattr(solving, "CHUNK", 5)
+    assert [len(s) for s in f.slices(5)] == [6, 6]
+    assert not check_model(f, {1: False, 2: False, 3: False})  # first of the first
+    assert not check_model(f, {1: True, 2: True, 3: False})  # last of the first
+    assert not check_model(f, {1: True, 2: False, 3: True})  # first of the second
+    assert not check_model(f, {1: True, 2: True, 3: True})  # last of the second
+    assert check_model(f, {1: False, 2: True, 3: False})
+    # a clause longer than a whole slice is read to its end
+    monkeypatch.setattr(solving, "CHUNK", 3)
+    f = formula(6, [(1, 2, 3, 4, 5, 6), (-1, -2)])
+    assert [len(s) for s in f.slices(3)] == [7, 3]
+    assert not check_model(f, {})
+    assert check_model(f, {6: True})
+    assert not check_model(f, {1: True, 2: True})
+    # against a clause-by-clause reference, at several slice sizes
+    rng = random.Random(5)
+    for size in (1, 2, 3, 7):
+        monkeypatch.setattr(solving, "CHUNK", size)
+        for f in _random_formulas():
+            for _ in range(5):
+                model = {v: rng.random() < 0.7 for v in range(1, f.num_vars + 1)}
+                assert check_model(f, model) == _satisfies(f, model)
 
 
 def test_check_model_treats_absent_variables_as_false():
