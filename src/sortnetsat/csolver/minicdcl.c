@@ -5,6 +5,10 @@
  * with code 10 / 20.  Classic architecture: two-watched-literal propagation,
  * first-UIP clause learning, VSIDS decision heap, phase saving, Luby
  * restarts, and LBD-based learnt-clause reduction at restart time.
+ *
+ * Before the "s" line it prints its counters, one "c NAME N" line each:
+ * conflicts, decisions, propagations (literals propagated), learnts (learnt
+ * clauses held at exit) and restarts.  They are printed only at exit.
  */
 
 #include <math.h>
@@ -60,7 +64,7 @@ static unsigned char *seen = NULL;
 static int *lbd_stamp = NULL;
 static int lbd_counter = 0;
 
-static long conflicts = 0;
+static long conflicts = 0, decisions = 0, propagations = 0, restarts = 0;
 static long max_learnts = 0;
 
 #define VAR(l) ((l) > 0 ? (l) : -(l))
@@ -161,6 +165,7 @@ static void enqueue(int lit, int reason_ref) {
 }
 
 static int propagate(void) { /* returns conflicting ref or -1 */
+    int qstart = qhead;
     while (qhead < trail_sz) {
         int p = trail[qhead++];
         vec *ws = &watches[LIT_IDX(-p)];
@@ -192,12 +197,14 @@ static int propagate(void) { /* returns conflicting ref or -1 */
             if (value_of(lits[0]) == -1) {
                 while (i < ws->sz) ws->data[j++] = ws->data[i++];
                 ws->sz = j;
+                propagations += qhead - qstart;
                 return cr;
             }
             enqueue(lits[0], cr);
         }
         ws->sz = j;
     }
+    propagations += qhead - qstart;
     return -1;
 }
 
@@ -465,6 +472,25 @@ static void alloc_state(int nv) {
     }
 }
 
+/* prints the counters and the answer; returns the exit code */
+static int finish(int sat) {
+    printf("c conflicts %ld\nc decisions %ld\nc propagations %ld\nc learnts %d\nc restarts %ld\n",
+           conflicts, decisions, propagations, learnts.sz, restarts);
+    if (!sat) {
+        printf("s UNSATISFIABLE\n");
+        return 20;
+    }
+    printf("s SATISFIABLE\n");
+    int col = 0;
+    printf("v");
+    for (int u = 1; u <= nvars; u++) {
+        printf(" %d", assigns[u] > 0 ? u : -u);
+        if (++col % 24 == 0 && u < nvars) printf("\nv");
+    }
+    printf(" 0\n");
+    return 10;
+}
+
 int main(int argc, char **argv) {
     if (argc < 2) die("usage: minicdcl FILE.cnf");
     long len = 0;
@@ -504,25 +530,18 @@ int main(int argc, char **argv) {
     free(buf);
     if (!parsed_header) die("missing p line");
 
-    if (root_conflict || propagate() != -1) {
-        printf("s UNSATISFIABLE\n");
-        return 20;
-    }
+    if (root_conflict || propagate() != -1) return finish(0);
 
     for (int v = 1; v <= nvars; v++) hinsert(v);
     max_learnts = orig_refs.sz / 3 + 2000;
     long restart_budget = 100;
-    int restart_count = 0;
     long conflicts_at_restart = 0;
 
     for (;;) {
         int confl = propagate();
         if (confl != -1) {
             conflicts++;
-            if (trail_lim.sz == 0) {
-                printf("s UNSATISFIABLE\n");
-                return 20;
-            }
+            if (trail_lim.sz == 0) return finish(0);
             int lbd = 0;
             int bt = analyze(confl, &lbd);
             backjump(bt);
@@ -535,19 +554,13 @@ int main(int argc, char **argv) {
             var_inc /= 0.95;
         } else {
             if (conflicts - conflicts_at_restart >= restart_budget) {
-                restart_count++;
-                restart_budget = (long)(luby(2.0, restart_count) * 100.0);
+                restarts++;
+                restart_budget = (long)(luby(2.0, (int)restarts) * 100.0);
                 conflicts_at_restart = conflicts;
                 backjump(0);
                 if (learnts.sz > max_learnts) {
-                    if (!reduce_and_simplify()) {
-                        printf("s UNSATISFIABLE\n");
-                        return 20;
-                    }
-                    if (propagate() != -1) {
-                        printf("s UNSATISFIABLE\n");
-                        return 20;
-                    }
+                    if (!reduce_and_simplify()) return finish(0);
+                    if (propagate() != -1) return finish(0);
                 }
                 continue;
             }
@@ -557,17 +570,8 @@ int main(int argc, char **argv) {
                 if (!assigns[v]) break;
                 v = 0;
             }
-            if (v == 0) {
-                printf("s SATISFIABLE\n");
-                int col = 0;
-                printf("v");
-                for (int u = 1; u <= nvars; u++) {
-                    printf(" %d", assigns[u] > 0 ? u : -u);
-                    if (++col % 24 == 0 && u < nvars) printf("\nv");
-                }
-                printf(" 0\n");
-                return 10;
-            }
+            if (v == 0) return finish(1);
+            decisions++;
             vpush(&trail_lim, trail_sz);
             enqueue(phase[v] > 0 ? v : -v, -1);
         }

@@ -14,14 +14,19 @@ with each window, and copies every later input's clauses from templates
 derived from those calls.  The output is the same as encoding each input in
 turn; ``ENCODER_VERSION`` names it.
 
-A formula is held as one flat list of int literals in DIMACS order, each
-clause ended by a 0 (``CnfFormula``), so a template writes all of an input's
-clauses with one ``extend`` and no object is made per clause.
+A formula keeps those copies as references: its store (``CnfFormula``)
+holds, in DIMACS order, plain lists of literals, each clause ended by a 0,
+and ``(template, block)`` pairs that stand for a template's clauses over one
+input's block of ids.  No literal of a copied clause is ever made.  Readers
+map every store entry through a table indexed by literal (the DIMACS text of
+each literal, its truth under a model, or the literal itself), and a
+template part through its own itemgetter over the table's values for its
+constants and block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from operator import itemgetter, neg
 from typing import Iterable, Iterator
 
@@ -39,48 +44,95 @@ class EncodingError(ValueError):
     pass
 
 
-@dataclass
+# store entries per plain run that ``CnfFormula.runs`` yields at once: bounds
+# what its readers hold at a time
+CHUNK = 1 << 15
+
+
 class CnfFormula:
-    """A growing formula, stored in DIMACS order as one flat list: ``lits``
-    holds the literals of every clause, each clause ended by a 0, and
-    ``num_clauses`` counts the clauses.  No object is made per clause.
+    """A growing formula, stored in DIMACS order as a list of ``parts``.  A
+    part is either a plain list of entries, the literals of the clauses
+    ``add`` wrote, each clause ended by a 0, or a ``(template, block)`` pair:
+    the clauses of a ``_Template`` applied to one input's block of ids.  No
+    literal of a template part is ever made, and no object per clause.
 
     This class alone knows that layout.  Readers of a whole formula take its
-    clause-aligned ``slices``; ``clauses`` yields the clauses as tuples, for
-    the builtin solver and for tests.  ``num_vars`` is not derived from the
-    clauses: ``build_instance`` copies it from the VarMap that numbered them.
+    ``runs`` through a table indexed by literal; ``clauses`` yields the
+    clauses as tuples, for the builtin solver and for tests.  Two formulas are
+    equal when their num_vars and their clauses are.  ``num_vars`` is not
+    derived from the clauses: ``build_instance`` copies it from the VarMap
+    that numbered them.
     """
 
-    num_vars: int = 0
-    lits: list[int] = field(default_factory=list)
-    num_clauses: int = 0
+    def __init__(self, num_vars: int = 0):
+        self.num_vars = num_vars
+        self.num_clauses = 0
+        # the plain part that ``add`` extends, always the last part
+        self._tail: list[int] = []
+        self.parts: list[list[int] | tuple[_Template, range]] = [self._tail]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CnfFormula):
+            return NotImplemented
+        return self.num_vars == other.num_vars and list(self.clauses) == list(other.clauses)
 
     def add(self, *lits: int) -> None:
         if not lits or 0 in lits:
             raise EncodingError(f"refusing to add the clause {lits}: it needs nonzero literals")
-        self.lits += lits
-        self.lits.append(0)
+        self._tail += lits
+        self._tail.append(0)
         self.num_clauses += 1
 
-    def add_entries(self, entries: Iterable[int], num_clauses: int) -> None:
-        """Append ``num_clauses`` whole clauses given in the store's own
-        layout, each ended by its 0."""
-        self.lits += entries
-        self.num_clauses += num_clauses
+    def add_template(self, template: _Template, block: range) -> None:
+        """Append the clauses of ``template`` over the input ids ``block``."""
+        self._tail = []
+        self.parts += [(template, block), self._tail]
+        self.num_clauses += template.num_clauses
 
     @property
     def clauses(self) -> _Clauses:
         return _Clauses(self)
 
-    def slices(self, size: int) -> Iterator[list[int]]:
-        """The store in order, in slices that each end with a clause's 0:
-        ``size`` entries or a few more, since no clause is split."""
-        lits = self.lits
-        start = 0
-        while start < len(lits):
-            end = lits.index(0, min(start + size, len(lits)) - 1) + 1
-            yield lits[start:end]
-            start = end
+    def runs(self, table, size: int = CHUNK, checked: bool = True) -> Iterator[tuple]:
+        """``table[e]`` for every store entry e, in order, in runs of whole
+        clauses: a template part is one run, a plain part runs of ``size``
+        entries or a few more, since no clause is split.
+
+        ``table`` is indexed by literal, as a list of 2 * num_vars + 1 entries
+        is: a clause's 0 reads ``table[0]`` and a negative literal counts from
+        the end.  When ``checked``, a literal beyond num_vars raises
+        ValueError before the run that holds it is yielded; the check reads
+        each plain run, and the constants and block of each template part."""
+        nv = self.num_vars
+        for part in self.parts:
+            if type(part) is tuple:
+                template, block = part
+                a, b = block.start, block.stop
+                if checked and (template.reach > nv or b > nv + 1):
+                    raise ValueError("literal beyond num_vars")
+                head = [table[c] for c in template.constants]
+                yield template.get(head + table[a:b] + table[-a:-b:-1])
+                continue
+            start = 0
+            while start < len(part):
+                end = part.index(0, min(start + size, len(part)) - 1) + 1
+                entries = part[start:end]
+                if checked and (max(entries) > nv or -min(entries) > nv):
+                    raise ValueError("literal beyond num_vars")
+                # a clause is a literal and its 0 at least, so the getter
+                # returns a tuple
+                yield itemgetter(*entries)(table)
+                start = end
+
+
+class _Identity:
+    """The table ``CnfFormula.clauses`` reads: every literal maps to itself,
+    within num_vars or not."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return list(range(key.start, key.stop, key.step or 1))
+        return key
 
 
 class _Clauses:
@@ -94,12 +146,12 @@ class _Clauses:
         return self._formula.num_clauses
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        lits = self._formula.lits
-        start = 0
-        while start < len(lits):
-            end = lits.index(0, start)
-            yield tuple(lits[start:end])
-            start = end + 1
+        for run in self._formula.runs(_Identity(), checked=False):
+            start = 0
+            while start < len(run):
+                end = run.index(0, start)
+                yield run[start:end]
+                start = end + 1
 
 
 @dataclass(frozen=True)
@@ -333,11 +385,12 @@ def encode_redundant_sorts(vm: VarMap, formula: CnfFormula, x: Bits) -> None:
 
 class _Template:
     """The clauses ``encode(vm, formula, x)`` writes, with x's value-chain ids
-    abstracted out, so that ``apply`` can write the same clauses for another
-    input's block.  One itemgetter picks the template's store entries, clause
-    ends included, from the literal list ``[constants..., +chain ids...,
-    -chain ids...]`` of the input it is applied to (0 is one of the
-    constants), so the clauses of one input share their int objects.
+    abstracted out, so that the same clauses can be read for another input's
+    block.  One itemgetter ``get`` picks the template's store entries, clause
+    ends included, from the list ``[constants..., +chain ids..., -chain
+    ids...]`` of the input it is applied to (0 is one of the constants), or
+    from that list read through a table, as ``CnfFormula.runs`` does.
+    ``reach`` is the largest variable among the constants.
 
     ``encode`` must already have run for x, so that every auxiliary it names
     exists: the call made here then writes x's own clauses and no definitions.
@@ -346,21 +399,19 @@ class _Template:
     def __init__(self, vm: VarMap, encode, x: Bits):
         scratch = CnfFormula()
         encode(vm, scratch, x)
+        (entries,) = scratch.parts  # only ``add`` wrote to it: one plain part
         block = vm.block(x)
-        self.constants = sorted({l for l in scratch.lits if abs(l) not in block})
+        self.constants = sorted({l for l in entries if abs(l) not in block})
+        self.reach = max(map(abs, self.constants), default=0)
         pos, width = len(self.constants), len(block)
         where = {l: at for at, l in enumerate(self.constants)}
         where.update(zip(block, range(pos, pos + width)))
         where.update(zip(map(neg, block), range(pos + width, pos + 2 * width)))
-        picks = list(map(where.__getitem__, scratch.lits))
+        picks = list(map(where.__getitem__, entries))
         # a clause is a literal and its 0 at least, so two picks or more make
         # the getter return a tuple; only an empty template has fewer
         self.get = itemgetter(*picks) if picks else lambda lits: ()
         self.num_clauses = scratch.num_clauses
-
-    def apply(self, formula: CnfFormula, block: range) -> None:
-        lits = [*self.constants, *block, *range(-block.start, -block.stop, -1)]
-        formula.add_entries(self.get(lits), self.num_clauses)
 
 
 def encode_inputs(
@@ -384,12 +435,12 @@ def encode_inputs(
             chain = _Template(vm, _encode_chain, x)
         else:
             encode_units(vm, formula, x, vm.start_layer, x)
-            chain.apply(formula, vm.block(x))
+            formula.add_template(chain, vm.block(x))
             encode_units(vm, formula, x, vm.d, tuple(sorted(x)))
         if redundant_sorts and not is_sorted_bits(x):
             key = window_of(x)
             if key in windows:
-                windows[key].apply(formula, vm.block(x))
+                formula.add_template(windows[key], vm.block(x))
             else:
                 encode_redundant_sorts(vm, formula, x)
                 windows[key] = _Template(vm, encode_redundant_sorts, x)

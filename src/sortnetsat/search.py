@@ -51,12 +51,16 @@ class SearchResult:
     network: Network | None
     solver: str = ""
     # seconds per stage of the solve that produced this result: encode_s,
-    # solve_s, verify_s; empty for records written before they were kept and
-    # for derived answers.  Older records also carry the solve time on its
-    # own; it is not loaded.
+    # solve_s, verify_s, and the parts of solve_s the solver reports (emit_s,
+    # solver_s, check_s; see ``SolveOutcome``); empty for records written
+    # before they were kept and for derived answers.  Older records also carry
+    # the solve time on its own; it is not loaded.
     timings: dict[str, float] = field(default_factory=dict)
     # (d, s) of the catalog record that settled this task without a solve
     implied_by: tuple[int, int] | None = None
+    # the solver's counters (``SolveOutcome.stats``), e.g. conflicts; empty
+    # when it printed none, for derived answers and for older records
+    stats: dict[str, int] = field(default_factory=dict)
     # read from a catalog file, not produced by this process; not recorded
     from_catalog: bool = False
 
@@ -82,6 +86,7 @@ class SearchResult:
             "solver": self.solver,
             "timings": {k: round(v, 4) for k, v in self.timings.items()},
             "implied_by": list(self.implied_by) if self.implied_by else None,
+            "stats": self.stats,
         }
 
     @classmethod
@@ -101,7 +106,7 @@ class SearchResult:
         res = cls(
             rec["n"], rec["d"], rec["s"], prefix, rec["options"], rec["status"],
             net, rec.get("solver", ""), rec.get("timings", {}), implied_by,
-            from_catalog=True,
+            rec.get("stats", {}), from_catalog=True,
         )
         if res.status == SAT and not (_fits(net, res.n, res.d, res.s) and is_sorting_network(net)):
             raise ValueError(
@@ -131,6 +136,9 @@ def _check_field_types(rec: dict) -> None:
         _is_int(t) or isinstance(t, float) for t in timings.values()
     ):
         raise ValueError("timings must be an object of numbers")
+    stats = rec.get("stats", {})
+    if not isinstance(stats, dict) or not all(map(_is_int, stats.values())):
+        raise ValueError("stats must be an object of integers")
     implied_by = rec.get("implied_by")
     is_pair = isinstance(implied_by, list) and len(implied_by) == 2
     if implied_by is not None and not (is_pair and all(map(_is_int, implied_by))):
@@ -245,10 +253,11 @@ def run_task(
                 f"decoded witness for (n={task.n}, d={task.d}, s={task.s}) does not fit "
                 "or does not sort"
             )
-    timings = {"encode_s": t1 - t0, "solve_s": t2 - t1, "verify_s": time.perf_counter() - t2}
+    timings = {"encode_s": t1 - t0, "solve_s": t2 - t1, **outcome.timings,
+               "verify_s": time.perf_counter() - t2}
     result = SearchResult(
         task.n, task.d, task.s, task.options.prefix, task.options.key(),
-        outcome.status, network, outcome.solver, timings,
+        outcome.status, network, outcome.solver, timings, stats=outcome.stats,
     )
     if catalog is not None:
         catalog.put(result)

@@ -16,13 +16,12 @@ import shlex
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass
-from operator import itemgetter
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TextIO
 
 from sortnetsat import dpll
-from sortnetsat.encoding import CnfFormula, VarMap
+from sortnetsat.encoding import CHUNK, CnfFormula, VarMap
 from sortnetsat.networks import Network
 
 SOLVER_ENV_VAR = "SORTNETSAT_SOLVER"
@@ -65,27 +64,27 @@ class SolveOutcome:
     status: str
     model: dict[int, bool] | None
     solver: str
-
-
-# store entries (literals and clause ends) per slice that write_dimacs and
-# check_model read at once: bounds the text and the copies held at a time
-CHUNK = 1 << 15
+    # seconds of each stage of the solve: emit_s (the DIMACS write; 0 for
+    # the builtin backend), solver_s (the solver and reading its answer) and
+    # check_s (the model check)
+    timings: dict[str, float] = field(default_factory=dict)
+    # the solver's "c NAME N" counters, e.g. conflicts; empty when it prints none
+    stats: dict[str, int] = field(default_factory=dict)
 
 
 def write_dimacs(formula: CnfFormula, fh: TextIO) -> None:
-    """Write the DIMACS text of ``formula`` to ``fh``, a slice at a time.  A
-    literal beyond num_vars raises ValueError; the slices before the one
-    holding it have been written by then."""
+    """Write the DIMACS text of ``formula`` to ``fh``, a run at a time (see
+    ``CnfFormula.runs``).  A literal beyond num_vars raises ValueError; the
+    runs before the one holding it have been written by then."""
     nv = formula.num_vars
     fh.write(f"p cnf {nv} {formula.num_clauses}\n")
-    for entries in formula.slices(CHUNK):
-        # num_vars is set by the encoder, not derived from the clauses, and
-        # hand-built formulas reach here too: check the range
-        if max(entries) > nv or -min(entries) > nv:
-            raise ValueError("literal beyond num_vars")
-        # each entry is written with a space after it; a clause's 0 (the only
-        # 0 token, since literals are nonzero) ends its line instead
-        fh.write(("%d " * len(entries) % tuple(entries)).replace(" 0 ", " 0\n"))
+    # the text of each entry: a literal with a space after it; a clause's 0
+    # ends its line instead
+    text = ["0\n", *(f"{v} " for v in range(1, nv + 1)), *(f"-{v} " for v in range(nv, 0, -1))]
+    # num_vars is set by the encoder, not derived from the clauses, and
+    # hand-built formulas reach here too: runs checks the range
+    for run in formula.runs(text, CHUNK):
+        fh.write("".join(run))
 
 
 def emit_dimacs(formula: CnfFormula) -> str:
@@ -95,12 +94,19 @@ def emit_dimacs(formula: CnfFormula) -> str:
     return text.getvalue()
 
 
-def parse_solver_output(text: str) -> tuple[str, list[int]]:
+def parse_solver_output(text: str) -> tuple[str, list[int], dict[str, int]]:
+    """The status, the model's literals and the counters of ``c NAME N``
+    lines (other comment lines are skipped)."""
     status = None
     lits: list[int] = []
+    stats: dict[str, int] = {}
     for line in text.splitlines():
         line = line.strip()
-        if line.startswith("s "):
+        if line.startswith("c "):
+            words = line.split()
+            if len(words) == 3 and words[2].isdecimal():
+                stats[words[1]] = int(words[2])
+        elif line.startswith("s "):
             token = line[2:].strip().upper()
             if token == "SATISFIABLE":
                 status = SAT
@@ -119,26 +125,21 @@ def parse_solver_output(text: str) -> tuple[str, list[int]]:
                 lits.append(val)
     if status is None:
         raise SolverBackendError("no 's' status line in solver output")
-    return status, lits
+    return status, lits, stats
 
 
 def check_model(formula: CnfFormula, model: dict[int, bool]) -> bool:
     """Every clause holds under ``model``; a variable absent from it is false.
-
-    Every literal must lie within num_vars, as ``build_instance`` makes them;
-    both backends fail on a formula that breaks this before a model exists
-    (``write_dimacs`` raises ValueError, the builtin solver IndexError)."""
-    values = [int(model.get(v, False)) for v in range(1, formula.num_vars + 1)]
-    # truth[l] for every literal l: 1 when true, else 0 (a negative l reads
-    # the reversed second half); a clause's 0 reads 2
-    truth = [2, *values, *(1 - t for t in reversed(values))]
-    for entries in formula.slices(CHUNK):
-        # a slice holds a whole clause, so two entries at least, and the
-        # getter returns a tuple.  Without the false literals, a clause no
-        # literal satisfies leaves its 2 first in the slice or right after
-        # the 2 of the clause before it
-        held = bytes(itemgetter(*entries)(truth)).translate(None, b"\0")
-        if held.startswith(b"\2") or b"\2\2" in held:
+    A literal beyond num_vars raises ValueError, as in ``write_dimacs``."""
+    values = ["1" if model.get(v) else "" for v in range(1, formula.num_vars + 1)]
+    # truth[l] for every literal l: "1" when true, else "" (a negative l reads
+    # the reversed second half); a clause's 0 reads "2"
+    truth = ["2", *values, *["" if t else "1" for t in reversed(values)]]
+    for run in formula.runs(truth, CHUNK):
+        # a run holds whole clauses.  A clause no literal satisfies leaves
+        # its 2 first in the run or right after the 2 of the clause before it
+        held = "".join(run)
+        if held.startswith("2") or "22" in held:
             return False
     return True
 
@@ -152,19 +153,26 @@ def _complete_model(formula: CnfFormula, lits: list[int]) -> dict[int, bool]:
 
 
 def solve(formula: CnfFormula, config: SolverConfig) -> SolveOutcome:
+    t0 = time.perf_counter()
     if config.backend == "builtin":
         deadline = time.monotonic() + config.timeout
         status, model = dpll.solve_clauses(formula.num_vars, formula.clauses, deadline)
+        stats, emit_s = {}, 0.0
     else:
-        status, model = _solve_external(formula, config)
+        status, model, stats, emit_s = _solve_external(formula, config)
+    t1 = time.perf_counter()
     if status == SAT and not check_model(formula, model):
         raise SolverBackendError(f"model from {config.name!r} does not satisfy the formula")
-    return SolveOutcome(status, model, config.name)
+    timings = {"emit_s": emit_s, "solver_s": t1 - t0 - emit_s, "check_s": time.perf_counter() - t1}
+    return SolveOutcome(status, model, config.name, timings, stats)
 
 
 def _solve_external(
     formula: CnfFormula, config: SolverConfig
-) -> tuple[str, dict[int, bool] | None]:
+) -> tuple[str, dict[int, bool] | None, dict[str, int], float]:
+    """Status, model and counters from the external solver, and the seconds
+    taken until the formula was written."""
+    t0 = time.perf_counter()
     # a fresh directory per call, also inside a shared ``config.workdir``:
     # concurrent solves must never hand a solver each other's formula
     with tempfile.TemporaryDirectory(prefix="sortnetsat-", dir=config.workdir) as tmp:
@@ -172,6 +180,7 @@ def _solve_external(
         cnf_path = workdir / "instance.cnf"
         with cnf_path.open("w") as fh:
             write_dimacs(formula, fh)
+        emit_s = time.perf_counter() - t0
         template = shlex.split(config.command)
         argv = [a.replace("{cnf}", str(cnf_path)) for a in template]
         if not any("{cnf}" in a for a in template):
@@ -185,16 +194,17 @@ def _solve_external(
                 cwd=workdir,
             )
         except subprocess.TimeoutExpired:
-            return UNKNOWN, None
+            return UNKNOWN, None, {}, emit_s
         except OSError as exc:
             raise SolverBackendError(f"cannot run solver {argv[0]!r}: {exc}") from exc
         try:
-            status, lits = parse_solver_output(proc.stdout)
+            status, lits, stats = parse_solver_output(proc.stdout)
         except SolverBackendError as exc:
             raise SolverBackendError(
                 f"{exc} (exit code {proc.returncode}, stderr: {proc.stderr[:500]!r})"
             ) from None
-        return status, _complete_model(formula, lits) if status == SAT else None
+        model = _complete_model(formula, lits) if status == SAT else None
+        return status, model, stats, emit_s
 
 
 def decode_network(model: dict[int, bool], vm: VarMap) -> Network:

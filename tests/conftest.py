@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from sortnetsat import csolver
+from sortnetsat import csolver, encoding
 from sortnetsat.networks import Network
 from sortnetsat.solving import SolverConfig
 
@@ -53,6 +53,20 @@ def external_cfg() -> SolverConfig:
 @pytest.fixture
 def builtin_cfg() -> SolverConfig:
     return SolverConfig("builtin", timeout=300)
+
+
+@pytest.fixture
+def chain_template():
+    """A VarMap on 3 channels, depth 2, with four inputs registered and the
+    first encoded, so every auxiliary its value chain names exists; the
+    inputs; and the template of that chain (48 clauses)."""
+    vm = encoding.VarMap(3, 2)
+    xs = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 1)]
+    for x in xs[:3]:
+        vm.register_input(x)
+    encoding.encode_sorts(vm, encoding.CnfFormula(), xs[0])
+    vm.register_input(xs[3])  # after the auxiliaries: its block lies beyond them
+    return vm, xs, encoding._Template(vm, encoding._encode_chain, xs[0])
 
 
 def matchings(n: int) -> list[tuple[tuple[int, int], ...]]:

@@ -164,26 +164,78 @@ def test_add_refuses_a_zero_literal():
         CnfFormula(2).add(1, 0, 2)
 
 
-def test_store_is_flat_and_slices_are_clause_aligned():
-    clauses = [(1, -2), (3,), (-1, 2, -3, 4, -5, 6, 7), (2,), (-4, 5)]
-    f = CnfFormula(7)
-    for c in clauses:
-        f.add(*c)
-    assert f.lits == [1, -2, 0, 3, 0, -1, 2, -3, 4, -5, 6, 7, 0, 2, 0, -4, 5, 0]
-    assert len(f.clauses) == f.num_clauses == 5
+def identity(nv):
+    """The table of 2 * nv + 1 entries that maps every literal to itself."""
+    return list(range(nv + 1)) + list(range(-nv, 0))
+
+
+def chain_entries(vm, x):
+    """The store entries of x's value-chain clauses, clause by clause."""
+    f = CnfFormula()
+    encoding._encode_chain(vm, f, x)
+    return [e for c in f.clauses for e in (*c, 0)]
+
+
+def test_store_is_flat_and_slices_are_clause_aligned(chain_template):
+    vm, xs, chain = chain_template
+    b1, b2 = vm.block(xs[1]), vm.block(xs[2])
+    f = CnfFormula(vm.num_vars)
+    f.add(1, -2)
+    f.add(3)
+    f.add_template(chain, b1)
+    f.add(-1, 2, -3, 4, -5, 6, 7)
+    f.add_template(chain, b2)
+    f.add_template(chain, b1)
+    f.add(2)
+    f.add(-4, 5)
+    # plain parts and template parts interleave; ``add`` writes to a new
+    # plain part after each template part
+    assert f.parts == [
+        [1, -2, 0, 3, 0], (chain, b1), [-1, 2, -3, 4, -5, 6, 7, 0], (chain, b2), [],
+        (chain, b1), [2, 0, -4, 5, 0],
+    ]
+    e1, e2 = chain_entries(vm, xs[1]), chain_entries(vm, xs[2])
+    entries = [1, -2, 0, 3, 0, *e1, -1, 2, -3, 4, -5, 6, 7, 0, *e2, *e1, 2, 0, -4, 5, 0]
+    assert chain.num_clauses == e1.count(0) == 48
+    assert len(f.clauses) == f.num_clauses == 5 + 3 * chain.num_clauses
+    clauses, start = [], 0
+    while start < len(entries):
+        end = entries.index(0, start)
+        clauses.append(tuple(entries[start:end]))
+        start = end + 1
     assert list(f.clauses) == clauses
     for size in range(1, 20):
-        slices = list(f.slices(size))
-        assert sum(slices, []) == f.lits
-        for piece in slices:
-            # each slice ends with a clause's 0, the first one at or after
-            # its size-th entry
-            assert piece[-1] == 0 and 0 not in piece[size - 1 : -1]
-    assert list(CnfFormula().slices(4)) == [] and list(CnfFormula().clauses) == []
+        runs = list(f.runs(identity(f.num_vars), size))
+        assert sum(runs, ()) == tuple(entries)
+        for run in runs:
+            # each run ends with a clause's 0: a template part is one run; a
+            # plain run ends at the first 0 at or after its size-th entry
+            assert run[-1] == 0
+            assert list(run) in (e1, e2) or 0 not in run[size - 1 : -1]
+        assert [list(r) for r in runs if len(r) > 20] == [e1, e2, e1]
+    assert list(CnfFormula().runs([0], 4)) == [] and list(CnfFormula().clauses) == []
+
+
+def test_formulas_are_equal_when_their_clauses_are(chain_template):
+    vm, xs, chain = chain_template
+    by_template = CnfFormula(vm.num_vars)
+    by_template.add(1)
+    by_template.add_template(chain, vm.block(xs[1]))
+    by_add = CnfFormula(vm.num_vars)
+    by_add.add(1)
+    encoding._encode_chain(vm, by_add, xs[1])
+    assert by_template == by_add and by_template.parts != by_add.parts
+    by_add.add(2)
+    assert by_template != by_add
+    by_add = CnfFormula(vm.num_vars + 1)
+    by_add.add(1)
+    encoding._encode_chain(vm, by_add, xs[1])
+    assert by_template != by_add
 
 
 def test_flat_store_holds_few_bytes_per_clause():
-    # a tuple per clause cost 82.7 B a clause here; the flat store 44.7 B
+    # a tuple per clause cost 82.7 B a clause here, one flat list of literals
+    # 44.7 B, and a store of template references 6.4 B
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -191,7 +243,7 @@ def test_flat_store_holds_few_bytes_per_clause():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert held / len(formula.clauses) <= 60
+    assert held / len(formula.clauses) <= 10
 
 
 # ENCODER_VERSION -> rows of (n, d, s, prefix, options, num_vars, clauses,

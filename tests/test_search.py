@@ -76,20 +76,40 @@ def test_catalog_persists_and_reloads(tmp_path, builtin_cfg):
     assert reloaded.network == first.network
 
 
+STAGES = {"encode_s", "solve_s", "emit_s", "solver_s", "check_s", "verify_s"}
+
+
 def test_solved_record_keeps_stage_timings(tmp_path, builtin_cfg):
     path = tmp_path / "cat.jsonl"
     task = SearchTask(3, 3, 3, config=builtin_cfg)
     res = run_task(task, ResultCatalog(path))
     rec = json.loads(path.read_text())
     for timings in (res.timings, rec["timings"], ResultCatalog(path).get(task).timings):
-        assert set(timings) == {"encode_s", "solve_s", "verify_s"}
+        assert set(timings) == STAGES
         assert all(v >= 0 for v in timings.values())
+    assert res.timings["emit_s"] == 0.0  # the builtin solver reads no DIMACS
+    assert res.stats == {} and rec["stats"] == {}
+
+
+def test_bundled_solver_record_splits_the_solve_and_keeps_counters(tmp_path, external_cfg):
+    path = tmp_path / "cat.jsonl"
+    task = SearchTask(4, 3, 5, config=external_cfg)
+    res = run_task(task, ResultCatalog(path))
+    assert res.status == SAT and set(res.timings) == STAGES
+    parts = [res.timings[k] for k in ("emit_s", "solver_s", "check_s")]
+    assert all(t > 0 for t in parts) and sum(parts) <= res.timings["solve_s"]
+    assert set(res.stats) == {"conflicts", "decisions", "propagations", "learnts", "restarts"}
+    assert res.stats["propagations"] > 0
+    rec = json.loads(path.read_text())
+    assert rec["stats"] == res.stats and set(rec["timings"]) == STAGES
+    assert ResultCatalog(path).get(task).stats == res.stats
 
 
 def test_record_without_timings_loads():
     rec = SearchResult(2, 1, 1, None, "k", UNSAT, None).record()
-    del rec["timings"]
-    assert SearchResult.from_record(rec).timings == {}
+    del rec["timings"], rec["stats"]
+    res = SearchResult.from_record(rec)
+    assert res.timings == {} and res.stats == {}
 
 
 def test_catalog_skips_corrupt_lines(tmp_path):
@@ -98,7 +118,8 @@ def test_catalog_skips_corrupt_lines(tmp_path):
     bad_layers = rec | {"status": SAT, "network": {"n": 2, "layers": 5}}
     mistyped = [{"prefix": 5}, {"prefix": [1]}, {"prefix": "(21)"}, {"d": None}, {"s": True},
                 {"options": 3}, {"solver": None}, {"status": "MAYBE"}, {"implied_by": [1]},
-                {"timings": 5}, {"timings": {"solve_s": "1"}}]
+                {"timings": 5}, {"timings": {"solve_s": "1"}}, {"stats": [1]},
+                {"stats": {"conflicts": 1.5}}, {"stats": {"conflicts": True}}]
     lines = ["this is not json", json.dumps(rec), '{"n": 1}', "[1, 2]", "null", "42",
              json.dumps(bad_layers), *(json.dumps(rec | field) for field in mistyped)]
     path.write_text("".join(line + "\n" for line in lines))
@@ -305,7 +326,7 @@ def test_level_catalog_holds_one_line_per_solved_task_in_task_order(builtin_cfg,
     records = [json.loads(line) for line in catalog.path.read_text().splitlines()]
     assert [r["prefix"] for r in records] == [format_sentence(p) for p in prefixes]
     assert [r["status"] for r in records] == [r.status for r in out.results]
-    assert all(set(r["timings"]) == {"encode_s", "solve_s", "verify_s"} for r in records)
+    assert all(set(r["timings"]) == STAGES for r in records)
     # a task built by hand for one prefix reads the record the level wrote for it
     reloaded = ResultCatalog(catalog.path)
     for p, res in zip(prefixes, out.results):

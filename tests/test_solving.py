@@ -76,17 +76,41 @@ def _written(f):
     return out.getvalue()
 
 
-def test_write_dimacs_matches_reference_across_chunks(monkeypatch):
+def _run_sizes(f, size):
+    """The lengths of the runs ``write_dimacs`` and ``check_model`` read."""
+    table = list(range(f.num_vars + 1)) + list(range(-f.num_vars, 0))
+    return [len(r) for r in f.runs(table, size, checked=False)]
+
+
+def _templated(vm, xs, chain, num_vars):
+    """Plain clauses around two applications of ``chain``, each longer than
+    any of the run sizes tested."""
+    f = CnfFormula(num_vars)
+    f.add(-1, 2)
+    f.add_template(chain, vm.block(xs[1]))
+    f.add(-vm.v(xs[2], 2, 1))
+    f.add(3, -4, 5)
+    f.add_template(chain, vm.block(xs[2]))
+    f.add(-6)
+    return f
+
+
+def test_write_dimacs_matches_reference_across_chunks(monkeypatch, chain_template):
+    vm, xs, chain = chain_template
     for size in (1, 2, 3, 7):
         monkeypatch.setattr(solving, "CHUNK", size)
         assert _written(CnfFormula(5)) == _reference_dimacs(CnfFormula(5))
         for f in _random_formulas():
             assert _written(f) == _reference_dimacs(f)
+        # template applications straddle the run size
+        f = _templated(vm, xs, chain, vm.num_vars)
+        assert max(_run_sizes(f, size)) > 100
+        assert _written(f) == _reference_dimacs(f)
     monkeypatch.setattr(solving, "CHUNK", 3)
     # the later slices hold longer clauses than the first; the last clause is
     # longer than a whole slice
     f = formula(9, [(1,), (-2,), (3,), (1, 2), (-4, 5, 6), (7, -8, 9, 1, 2)])
-    assert [len(s) for s in f.slices(3)] == [4, 5, 4, 6]
+    assert _run_sizes(f, 3) == [4, 5, 4, 6]
     assert _written(f) == _reference_dimacs(f)
 
 
@@ -98,18 +122,36 @@ def test_write_dimacs_checks_the_last_chunk(monkeypatch):
     # the slices before the one holding the literal are written by then
     for clauses in ([(1,), (-2, 3), (3, 2, 1, -1, -2, 4)], [(1,), (-2, 3), (4, 2, 1, -1, -2, 3)]):
         f = formula(3, clauses)
-        assert [len(s) for s in f.slices(2)] == [2, 3, 7]  # the last is longer than a slice
+        assert _run_sizes(f, 2) == [2, 3, 7]  # the last is longer than a slice
         out = io.StringIO()
         with pytest.raises(ValueError, match="literal beyond num_vars"):
             write_dimacs(f, out)
         assert out.getvalue() == "p cnf 3 3\n1 0\n-2 3 0\n"
 
 
+def test_write_dimacs_checks_each_template_application(chain_template):
+    vm, xs, chain = chain_template
+    # the chain's largest constant is the last channel-used flag, beyond the
+    # blocks of the first three inputs
+    assert chain.reach > vm.block(xs[2]).stop - 1
+    assert _written(_templated(vm, xs, chain, chain.reach)).startswith(f"p cnf {chain.reach} ")
+    for num_vars in (chain.reach - 1, vm.block(xs[2]).stop - 2):
+        with pytest.raises(ValueError, match="literal beyond num_vars"):
+            _written(_templated(vm, xs, chain, num_vars))
+    # a block beyond num_vars, though every constant is within it
+    f = CnfFormula(chain.reach)
+    f.add_template(chain, vm.block(xs[3]))
+    with pytest.raises(ValueError, match="literal beyond num_vars"):
+        _written(f)
+    f.num_vars = vm.num_vars
+    assert _written(f) == _reference_dimacs(f)
+
+
 def _satisfies(f, model):
     return all(any(model.get(abs(l), False) == (l > 0) for l in c) for c in f.clauses)
 
 
-def test_check_model_scans_every_clause(monkeypatch):
+def test_check_model_scans_every_clause(monkeypatch, chain_template):
     f = formula(3, [(1, 2), (-1, 3), (2, -3), (-2, -3)])
     assert check_model(f, {1: False, 2: True, 3: False})
     assert not check_model(f, {1: True, 2: True, 3: False})  # breaks (-1, 3)
@@ -118,7 +160,7 @@ def test_check_model_scans_every_clause(monkeypatch):
     # two slices, (1, 2) (-1, 3) and (2, -3) (-2, -3): each model breaks one
     # clause only, the first or the last of a slice
     monkeypatch.setattr(solving, "CHUNK", 5)
-    assert [len(s) for s in f.slices(5)] == [6, 6]
+    assert _run_sizes(f, 5) == [6, 6]
     assert not check_model(f, {1: False, 2: False, 3: False})  # first of the first
     assert not check_model(f, {1: True, 2: True, 3: False})  # last of the first
     assert not check_model(f, {1: True, 2: False, 3: True})  # first of the second
@@ -127,7 +169,7 @@ def test_check_model_scans_every_clause(monkeypatch):
     # a clause longer than a whole slice is read to its end
     monkeypatch.setattr(solving, "CHUNK", 3)
     f = formula(6, [(1, 2, 3, 4, 5, 6), (-1, -2)])
-    assert [len(s) for s in f.slices(3)] == [7, 3]
+    assert _run_sizes(f, 3) == [7, 3]
     assert not check_model(f, {})
     assert check_model(f, {6: True})
     assert not check_model(f, {1: True, 2: True})
@@ -139,6 +181,22 @@ def test_check_model_scans_every_clause(monkeypatch):
             for _ in range(5):
                 model = {v: rng.random() < 0.7 for v in range(1, f.num_vars + 1)}
                 assert check_model(f, model) == _satisfies(f, model)
+    # template applications, each longer than a slice.  All false: no
+    # comparator, so every value stays put, and every plain clause holds
+    vm, xs, chain = chain_template
+    f = _templated(vm, xs, chain, vm.num_vars)
+    assert check_model(f, {}) and _satisfies(f, {})
+    # a value that changes at layer k with no comparator to change it (and
+    # keeps its new value after k) breaks one clause, (used, -cur, prev),
+    # inside an application and not its first or last
+    for x in xs[1:3]:
+        for k, i in ((1, 2), (2, 2), (2, 3)):
+            model = {vm.v(x, later, i): True for later in range(k, 3)}
+            for size in (1, 3, 7, 1 << 15):
+                monkeypatch.setattr(solving, "CHUNK", size)
+                assert not check_model(f, model) and not _satisfies(f, model), (x, k, i)
+    # and a broken clause of a plain part, before or after them, still shows
+    assert not check_model(f, {2: False, 1: True}) and not check_model(f, {6: True})
 
 
 def test_check_model_treats_absent_variables_as_false():
@@ -147,9 +205,12 @@ def test_check_model_treats_absent_variables_as_false():
 
 
 def test_parse_solver_output():
-    assert parse_solver_output("c hi\ns SATISFIABLE\nv 1 -2 0\n") == (SAT, [1, -2])
-    assert parse_solver_output("s UNSATISFIABLE\n") == (UNSAT, [])
-    assert parse_solver_output("s UNKNOWN\n") == (UNKNOWN, [])
+    assert parse_solver_output("c hi\ns SATISFIABLE\nv 1 -2 0\n") == (SAT, [1, -2], {})
+    assert parse_solver_output("s UNSATISFIABLE\n") == (UNSAT, [], {})
+    assert parse_solver_output("s UNKNOWN\n") == (UNKNOWN, [], {})
+    # "c NAME N" lines are counters; other comment lines are skipped
+    text = "c conflicts 12\nc version 1.0\nc a b c\nc restarts 0\ns UNSATISFIABLE\n"
+    assert parse_solver_output(text) == (UNSAT, [], {"conflicts": 12, "restarts": 0})
     with pytest.raises(SolverBackendError):
         parse_solver_output("nothing useful\n")
     with pytest.raises(SolverBackendError, match="bad literal 'x'"):
