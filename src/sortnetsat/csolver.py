@@ -16,6 +16,9 @@ import tempfile
 from pathlib import Path
 
 _SOURCE = Path(__file__).parent / "csolver" / "minicdcl.c"
+# the compile flags; the binary's name hashes them with the source, so a
+# change to either builds a new binary
+CFLAGS = ("-O2", "-std=c99")
 
 
 def cache_dir() -> Path:
@@ -25,15 +28,21 @@ def cache_dir() -> Path:
     return Path(root) / "sortnetsat"
 
 
+def compiler() -> str | None:
+    """The path of the C compiler, or None when there is none."""
+    return shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
+
+
 def ensure_built(quiet: bool = False) -> str | None:
     """Compile the bundled solver if needed; returns the binary path, or None
     when no C compiler is available."""
-    cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
+    cc = compiler()
     if cc is None or not _SOURCE.exists():
         if not quiet:
             raise RuntimeError("no C compiler found; set SORTNETSAT_SOLVER instead")
         return None
-    tag = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()[:16]
+    key = b"\0".join([_SOURCE.read_bytes(), *map(str.encode, CFLAGS)])
+    tag = hashlib.sha256(key).hexdigest()[:16]
     out = cache_dir() / f"minicdcl-{tag}"
     if out.exists():
         return str(out)
@@ -42,7 +51,7 @@ def ensure_built(quiet: bool = False) -> str | None:
     # share a half-written file; the rename into place is atomic
     with tempfile.TemporaryDirectory(dir=out.parent) as tmpdir:
         tmp = os.path.join(tmpdir, out.name)
-        cmd = [cc, "-O2", "-std=c99", "-o", tmp, str(_SOURCE), "-lm"]
+        cmd = [cc, *CFLAGS, "-o", tmp, str(_SOURCE), "-lm"]
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
             if not quiet:

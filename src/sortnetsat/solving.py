@@ -3,9 +3,10 @@
 Two backends: ``builtin`` runs the bundled DPLL in-process; ``external`` runs
 any command that reads a DIMACS file and prints SAT-competition output
 (``s SATISFIABLE`` / ``s UNSATISFIABLE`` plus ``v`` model lines).  A timeout
-yields UNKNOWN, which is never conflated with UNSAT; solver crashes and
-unparsable output raise instead.  SAT models are re-checked against the
-formula before anyone gets to see them.
+yields UNKNOWN, which is never conflated with UNSAT: the external solver is
+sent SIGTERM and given ``STOP_GRACE`` seconds to print its counters before it
+is killed.  Solver crashes and unparsable output raise instead.  SAT models
+are re-checked against the formula before anyone gets to see them.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from sortnetsat.networks import Network
 SOLVER_ENV_VAR = "SORTNETSAT_SOLVER"
 
 SAT, UNSAT, UNKNOWN = "SAT", "UNSAT", "UNKNOWN"
+
+STOP_GRACE = 3.0  # seconds a timed-out external solver has to exit after SIGTERM
 
 
 class SolverBackendError(RuntimeError):
@@ -186,25 +189,46 @@ def _solve_external(
         if not any("{cnf}" in a for a in template):
             argv.append(str(cnf_path))
         try:
-            proc = subprocess.run(
-                argv,
-                capture_output=True,
-                text=True,
-                timeout=config.timeout,
-                cwd=workdir,
+            proc = subprocess.Popen(
+                argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=workdir
             )
-        except subprocess.TimeoutExpired:
-            return UNKNOWN, None, {}, emit_s
         except OSError as exc:
             raise SolverBackendError(f"cannot run solver {argv[0]!r}: {exc}") from exc
+        with proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=config.timeout)
+            except subprocess.TimeoutExpired:
+                return UNKNOWN, None, _stop(proc), emit_s
+            except BaseException:
+                proc.kill()
+                raise
+        returncode = proc.returncode
+        del proc  # it keeps the raw output's chunks; they would outlive the parse
         try:
-            status, lits, stats = parse_solver_output(proc.stdout)
+            status, lits, stats = parse_solver_output(stdout)
         except SolverBackendError as exc:
             raise SolverBackendError(
-                f"{exc} (exit code {proc.returncode}, stderr: {proc.stderr[:500]!r})"
+                f"{exc} (exit code {returncode}, stderr: {stderr[:500]!r})"
             ) from None
         model = _complete_model(formula, lits) if status == SAT else None
         return status, model, stats, emit_s
+
+
+def _stop(proc: subprocess.Popen) -> dict[str, int]:
+    """Terminate a solver that ran out of time.  Its counters, when it prints
+    them within ``STOP_GRACE`` seconds; it is killed after that.  Whatever it
+    prints, the answer stays UNKNOWN."""
+    proc.terminate()
+    try:
+        stdout, _ = proc.communicate(timeout=STOP_GRACE)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+        return {}
+    try:
+        return parse_solver_output(stdout)[2]
+    except SolverBackendError:
+        return {}
 
 
 def decode_network(model: dict[int, bool], vm: VarMap) -> Network:

@@ -43,11 +43,17 @@ def net_from_record(rec: dict) -> Network:
 
 
 @pytest.fixture(scope="session")
-def external_cfg() -> SolverConfig:
+def bundled_solver() -> str:
+    """The path of the bundled solver's binary."""
     binary = csolver.ensure_built(quiet=True)
     if binary is None:
         pytest.skip("no C compiler available to build the bundled solver")
-    return SolverConfig("external", f"{binary} {{cnf}}", timeout=600)
+    return binary
+
+
+@pytest.fixture(scope="session")
+def external_cfg(bundled_solver) -> SolverConfig:
+    return SolverConfig("external", f"{bundled_solver} {{cnf}}", timeout=600)
 
 
 @pytest.fixture

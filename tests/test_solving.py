@@ -1,16 +1,17 @@
+import hashlib
 import io
 import random
 import re
-import shutil
 import subprocess
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from sortnetsat import csolver, solving
 from sortnetsat.dpll import solve_clauses
-from sortnetsat.encoding import CnfFormula, build_instance
+from sortnetsat.encoding import CnfFormula, EncodeOptions, build_instance
 from sortnetsat.networks import is_sorting_network
 from sortnetsat.solving import (
     SAT,
@@ -242,7 +243,30 @@ def test_builtin_times_out():
 def test_external_times_out(external_cfg):
     f, _ = build_instance(8, 6, 18)  # hard enough not to finish instantly
     cfg = SolverConfig("external", external_cfg.command, timeout=0.2)
-    assert solve(f, cfg).status == UNKNOWN
+    out = solve(f, cfg)
+    # the solver prints its counters when it is terminated
+    assert out.status == UNKNOWN and "conflicts" in out.stats
+
+
+def test_external_timeout_stays_unknown_and_kills_a_solver_ignoring_sigterm(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(solving, "STOP_GRACE", 1.0)
+    f = formula(1, [(1,)])
+    # whatever a terminated solver prints, its answer is UNKNOWN
+    liar = tmp_path / "liar.sh"
+    liar.write_text(
+        "trap 'kill $!; echo c conflicts 7; echo s UNSATISFIABLE; exit 20' TERM\n"
+        "sleep 30 >/dev/null 2>&1 &\nwait\n"
+    )
+    out = solve(f, SolverConfig("external", f"sh {liar}", timeout=0.5))
+    assert out.status == UNKNOWN and out.model is None and out.stats == {"conflicts": 7}
+    stubborn = tmp_path / "stubborn.sh"
+    stubborn.write_text("trap '' TERM; exec sleep 30\n")
+    t0 = time.monotonic()
+    out = solve(f, SolverConfig("external", f"sh {stubborn}", timeout=0.5))
+    assert out.status == UNKNOWN and out.stats == {}
+    assert time.monotonic() - t0 < 0.5 + solving.STOP_GRACE + 2
 
 
 def test_external_crash_is_an_error():
@@ -359,9 +383,10 @@ def test_default_config_honours_environment(monkeypatch):
     assert cfg.backend in ("external", "builtin")
 
 
-@pytest.mark.skipif(
-    not any(shutil.which(cc) for cc in ("cc", "gcc", "clang")), reason="no C compiler"
-)
+needs_cc = pytest.mark.skipif(csolver.compiler() is None, reason="no C compiler")
+
+
+@needs_cc
 def test_concurrent_builds_share_one_binary(tmp_path, monkeypatch):
     for trial in range(3):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / f"cache{trial}"))
@@ -387,3 +412,84 @@ def test_concurrent_builds_share_one_binary(tmp_path, monkeypatch):
         cnf.write_text("p cnf 1 2\n1 0\n-1 0\n")
         proc = subprocess.run([paths[0], str(cnf)], capture_output=True, text=True, timeout=60)
         assert "s UNSATISFIABLE" in proc.stdout
+
+
+@needs_cc
+def test_solver_binary_name_hashes_the_compile_flags(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    default = csolver.ensure_built()
+    assert csolver.ensure_built() == default
+    monkeypatch.setattr(csolver, "CFLAGS", ("-O1", "-std=c99"))
+    other = csolver.ensure_built()
+    assert other != default
+    assert Path(default).is_file() and Path(other).is_file()
+
+
+@needs_cc
+def test_solver_source_compiles_without_warnings(tmp_path):
+    cmd = [csolver.compiler(), "-std=c99", "-O2", "-Wall", "-Wextra", "-Werror",
+           "-o", str(tmp_path / "minicdcl"), str(csolver._SOURCE), "-lm"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _run_bundled(binary, cnf):
+    return subprocess.run([binary, str(cnf)], capture_output=True, text=True, timeout=120)
+
+
+def test_bundled_solver_search_is_pinned(bundled_solver, tmp_path):
+    """The bundled solver's search on four instances, pinned by its counters,
+    its answer and, for SAT, the sha256 of its "v" lines.  Reductions of the
+    learnt clauses fire on (5,6,8).  A speedup of the solver keeps these values;
+    a change to its search (ROADMAP items 5 and 7) updates them and says so in
+    CHANGES.md."""
+    cases = [
+        ((5, 6, 8, None), (9985, 11830, 3625841, 5957, 43), "UNSATISFIABLE", None),
+        ((6, 5, 11, None), (3334, 3980, 2259821, 3314, 16), "UNSATISFIABLE", None),
+        ((6, 5, 12, None), (42, 71, 38018, 40, 0), "SATISFIABLE",
+         "7de86fac98bee7cd57a9cbf4fd13142b508fae99953faaf011cc777789fa0973"),
+        ((9, 7, 25, "(012211212)"), (2131, 3146, 2062281, 2108, 13), "SATISFIABLE",
+         "81d01127fd8a3ff8075e860f80045942e3cceb6b61bd4264477e88804e1e1a6c"),
+    ]
+    names = ("conflicts", "decisions", "propagations", "learnts", "restarts")
+    cnf = tmp_path / "instance.cnf"
+    for (n, d, s, prefix), counters, answer, model_sha in cases:
+        f, _ = build_instance(n, d, s, EncodeOptions().with_prefix(prefix))
+        with cnf.open("w") as fh:
+            write_dimacs(f, fh)
+        lines = _run_bundled(bundled_solver, cnf).stdout.splitlines()
+        assert lines[:6] == [*(f"c {k} {v}" for k, v in zip(names, counters)), f"s {answer}"], (
+            n, d, s, prefix)
+        model = "".join(line + "\n" for line in lines if line.startswith("v"))
+        assert (hashlib.sha256(model.encode()).hexdigest() if model else None) == model_sha
+
+
+@pytest.mark.parametrize(
+    "text, code, expected",
+    [
+        # a tautology is dropped, not cut down to one of its literals
+        ("p cnf 1 2\n1 -1 0\n-1 0\n", 10, ["s SATISFIABLE", "v -1 0"]),
+        ("p cnf 1 2\n-1 1 0\n1 0\n", 10, ["s SATISFIABLE", "v 1 0"]),
+        # a repeated literal: a unit, propagated before any decision
+        ("p cnf 2 2\n2 2 0\n-2 1 0\n", 10, ["c decisions 0", "s SATISFIABLE", "v 1 2 0"]),
+        ("p cnf 2 2\n1 2 0\n0\n", 20, ["s UNSATISFIABLE"]),
+        ("p cnf 1 2\n1 0\n-1", 20, ["s UNSATISFIABLE"]),
+        ("c 0\np cnf 1 1\nc 1 0\n-1 0\n", 10, ["s SATISFIABLE", "v -1 0"]),
+    ],
+    ids=["tautology", "tautology-reversed", "repeated-literal", "empty-clause",
+         "unterminated-last-clause", "comment-lines"],
+)
+def test_bundled_solver_reads_dimacs(bundled_solver, tmp_path, text, code, expected):
+    cnf = tmp_path / "in.cnf"
+    cnf.write_text(text)
+    proc = _run_bundled(bundled_solver, cnf)
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == code and all(line in lines for line in expected), proc.stdout
+
+
+@pytest.mark.parametrize("lit", ["3", "-3"])
+def test_bundled_solver_rejects_a_literal_beyond_the_declared_count(bundled_solver, tmp_path, lit):
+    cnf = tmp_path / "in.cnf"
+    cnf.write_text(f"p cnf 2 1\n1 {lit} 0\n")
+    proc = _run_bundled(bundled_solver, cnf)
+    assert proc.returncode == 1 and "literal beyond declared vars" in proc.stderr
