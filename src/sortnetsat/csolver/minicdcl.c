@@ -12,6 +12,19 @@
  * SIGTERM it stops at the next step of its search, prints its counters and
  * "s UNKNOWN", and exits with code 0.
  *
+ * The loader reads the whole file and walks it once, a literal at a time,
+ * with a plain sign-and-digit loop: a literal may carry a sign, '-' or '+',
+ * and its digits are checked against the declared variable count as they are
+ * read, so no literal overflows.  A 'c' or '%' where a literal could start
+ * begins a comment, up to the end of its line; blanks are spaces, tabs, CRs
+ * and newlines.  It dies with a message on stderr and exit code 1 on a
+ * literal beyond the declared count, anything else that is no literal, a
+ * clause before the "p cnf VARS CLAUSES" line, a p line with a count
+ * missing, negative or too large (VARS at most (INT_MAX - 3) / 2, so that
+ * every literal code fits an int), and a second p line, which would
+ * otherwise drop the clauses read before it.  A last clause without its 0 is
+ * kept, a tautology is dropped and a repeated literal is kept once.
+ *
  * Propagation follows the cache-conscious layout of Chu, Harwood & Stuckey
  * (JSAT 2009), in three ways that leave the search unchanged:
  *   - literal codes: inside the solver the literal v is 2v and -v is 2v+1, so
@@ -28,6 +41,7 @@
  * tests/test_solving.py::test_bundled_solver_search_is_pinned.
  */
 
+#include <limits.h>
 #include <math.h>
 #include <signal.h>
 #include <stdio.h>
@@ -538,45 +552,80 @@ static int finish(int sat) {
     return 10;
 }
 
+/* the number whose digits start at *pp, read up to its last digit, with *pp
+ * moved past them; -1, with *pp kept, when *pp is no digit.  Dies with msg as
+ * soon as the number exceeds max, so it never overflows */
+static int read_number(char **pp, int max, const char *msg) {
+    char *p = *pp;
+    if (*p < '0' || *p > '9') return -1;
+    long long v = 0;
+    do {
+        v = 10 * v + (*p++ - '0');
+        if (v > max) die(msg);
+    } while (*p >= '0' && *p <= '9');
+    *pp = p;
+    return (int)v;
+}
+
+static char *skip_blanks(char *p) {
+    while (*p == ' ' || *p == '\t' || *p == '\r') p++;
+    return p;
+}
+
+/* reads the line "p cnf VARS CLAUSES" at *pp, up to its newline, and
+ * returns VARS */
+static int read_header(char **pp) {
+    char *p = skip_blanks(*pp + 1);
+    if (strncmp(p, "cnf", 3) != 0) die("bad p line");
+    p = skip_blanks(p + 3);
+    /* the code 2v + 1 of every literal, and the count of them, fit an int */
+    int nv = read_number(&p, (INT_MAX - 3) / 2, "bad p line");
+    p = skip_blanks(p);
+    int nc = read_number(&p, INT_MAX, "bad p line");
+    p = skip_blanks(p);
+    if (nv < 0 || nc < 0 || (*p && *p != '\n')) die("bad p line");
+    *pp = p;
+    return nv;
+}
+
 int main(int argc, char **argv) {
     if (argc < 2) die("usage: minicdcl FILE.cnf");
     signal(SIGTERM, on_sigterm);
     long len = 0;
     char *buf = read_all(argv[1], &len);
     char *p = buf;
-    int declared_vars = 0;
+    int declared_vars = -1; /* until the p line */
     vec cl = {0, 0, NULL};
-    int parsed_header = 0;
     while (*p) {
-        while (*p == ' ' || *p == '\t' || *p == '\r' || *p == '\n') p++;
-        if (!*p) break;
-        if (*p == 'c' || *p == '%') {
+        char ch = *p;
+        if (ch == ' ' || ch == '\n' || ch == '\t' || ch == '\r') {
+            p++;
+            continue;
+        }
+        if (ch == 'c' || ch == '%') {
             while (*p && *p != '\n') p++;
             continue;
         }
-        if (*p == 'p') {
-            if (sscanf(p, "p cnf %d", &declared_vars) != 1) die("bad p line");
+        if (ch == 'p') {
+            if (declared_vars >= 0) die("second p line");
+            declared_vars = read_header(&p);
             alloc_state(declared_vars);
-            parsed_header = 1;
-            while (*p && *p != '\n') p++;
             continue;
         }
-        if (!parsed_header) die("clause before p line");
-        char *end;
-        long lit = strtol(p, &end, 10);
-        if (end == p) die("cannot parse literal");
-        p = end;
-        if (lit == 0) {
+        if (declared_vars < 0) die("clause before p line");
+        if (ch == '-' || ch == '+') p++;
+        int v = read_number(&p, declared_vars, "literal beyond declared vars");
+        if (v < 0) die("cannot parse literal");
+        if (v == 0) {
             commit_clause(&cl);
             cl.sz = 0;
         } else {
-            if (lit > declared_vars || -lit > declared_vars) die("literal beyond declared vars");
-            vpush(&cl, lit > 0 ? POS((int)lit) : NEG(POS((int)-lit)));
+            vpush(&cl, ch == '-' ? NEG(POS(v)) : POS(v));
         }
     }
     if (cl.sz) commit_clause(&cl); /* unterminated final clause */
     free(buf);
-    if (!parsed_header) die("missing p line");
+    if (declared_vars < 0) die("missing p line");
 
     if (root_conflict || propagate() != -1) return finish(0);
 

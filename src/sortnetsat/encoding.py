@@ -14,19 +14,26 @@ with each window, and copies every later input's clauses from templates
 derived from those calls.  The output is the same as encoding each input in
 turn; ``ENCODER_VERSION`` names it.
 
+The cardinality network, last in every formula, is a template too.  It
+depends only on the g literals, which (n, d) fixes, and on s, and its
+auxiliaries are one block of ids.  So each process builds it once per
+(n, d, s) (``_counter_template``, a small bounded cache), and every instance
+at that level applies it to the block of ids it reserves for them.
+
 A formula keeps those copies as references: its store (``CnfFormula``)
 holds, in DIMACS order, plain lists of literals, each clause ended by a 0,
 and ``(template, block)`` pairs that stand for a template's clauses over one
-input's block of ids.  No literal of a copied clause is ever made.  Readers
-map every store entry through a table indexed by literal (the DIMACS text of
-each literal, its truth under a model, or the literal itself), and a
-template part through its own itemgetter over the table's values for its
-constants and block.
+block of ids: an input's value chain, or the counter's auxiliaries.  No
+literal of a copied clause is ever made.  Readers map every store entry
+through a table indexed by literal (the DIMACS text of each literal, its
+truth under a model, or the literal itself), and a template part through its
+own itemgetter over the table's values for its constants and block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from operator import itemgetter, neg
 from typing import Iterable, Iterator
 
@@ -53,7 +60,7 @@ class CnfFormula:
     """A growing formula, stored in DIMACS order as a list of ``parts``.  A
     part is either a plain list of entries, the literals of the clauses
     ``add`` wrote, each clause ended by a 0, or a ``(template, block)`` pair:
-    the clauses of a ``_Template`` applied to one input's block of ids.  No
+    the clauses of a ``_Template`` applied to one block of ids.  No
     literal of a template part is ever made, and no object per clause.
 
     This class alone knows that layout.  Readers of a whole formula take its
@@ -84,7 +91,7 @@ class CnfFormula:
         self.num_clauses += 1
 
     def add_template(self, template: _Template, block: range) -> None:
-        """Append the clauses of ``template`` over the input ids ``block``."""
+        """Append the clauses of ``template`` over the ids ``block``."""
         self._tail = []
         self.parts += [(template, block), self._tail]
         self.num_clauses += template.num_clauses
@@ -219,6 +226,11 @@ class VarMap:
     def fresh(self) -> int:
         self._next += 1
         return self._next
+
+    def reserve(self, count: int) -> range:
+        """``count`` fresh ids, in one block."""
+        self._next += count
+        return range(self._next - count + 1, self._next + 1)
 
     @property
     def num_vars(self) -> int:
@@ -384,26 +396,21 @@ def encode_redundant_sorts(vm: VarMap, formula: CnfFormula, x: Bits) -> None:
 
 
 class _Template:
-    """The clauses ``encode(vm, formula, x)`` writes, with x's value-chain ids
-    abstracted out, so that the same clauses can be read for another input's
-    block.  One itemgetter ``get`` picks the template's store entries, clause
-    ends included, from the list ``[constants..., +chain ids..., -chain
-    ids...]`` of the input it is applied to (0 is one of the constants), or
-    from that list read through a table, as ``CnfFormula.runs`` does.
-    ``reach`` is the largest variable among the constants.
-
-    ``encode`` must already have run for x, so that every auxiliary it names
-    exists: the call made here then writes x's own clauses and no definitions.
+    """Clauses over one block of ids, abstracted from it, so that the same
+    clauses can be read for another block of the same width: ``entries``
+    are their store entries, each clause ended by a 0, and ``block`` the ids
+    they were written over.  One itemgetter ``get`` picks the entries from
+    the list ``[constants..., +block ids..., -block ids...]`` of the block it
+    is applied to (0 is one of the constants), or from that list read
+    through a table, as ``CnfFormula.runs`` does.  ``reach`` is the largest
+    variable among the constants.
     """
 
-    def __init__(self, vm: VarMap, encode, x: Bits):
-        scratch = CnfFormula()
-        encode(vm, scratch, x)
-        (entries,) = scratch.parts  # only ``add`` wrote to it: one plain part
-        block = vm.block(x)
+    def __init__(self, entries: list[int], block: range):
         self.constants = sorted({l for l in entries if abs(l) not in block})
         self.reach = max(map(abs, self.constants), default=0)
         pos, width = len(self.constants), len(block)
+        self.width = width
         where = {l: at for at, l in enumerate(self.constants)}
         where.update(zip(block, range(pos, pos + width)))
         where.update(zip(map(neg, block), range(pos + width, pos + 2 * width)))
@@ -411,7 +418,19 @@ class _Template:
         # a clause is a literal and its 0 at least, so two picks or more make
         # the getter return a tuple; only an empty template has fewer
         self.get = itemgetter(*picks) if picks else lambda lits: ()
-        self.num_clauses = scratch.num_clauses
+        self.num_clauses = entries.count(0)
+
+    @classmethod
+    def of(cls, vm: VarMap, encode, x: Bits) -> _Template:
+        """The clauses ``encode(vm, formula, x)`` writes, over x's value chain.
+
+        ``encode`` must already have run for x, so that every auxiliary it
+        names exists: the call made here then writes x's own clauses and no
+        definitions."""
+        scratch = CnfFormula()
+        encode(vm, scratch, x)
+        (entries,) = scratch.parts  # only ``add`` wrote to it: one plain part
+        return cls(entries, vm.block(x))
 
 
 def encode_inputs(
@@ -432,7 +451,7 @@ def encode_inputs(
     for x in inputs:
         if chain is None:
             encode_sorts(vm, formula, x)
-            chain = _Template(vm, _encode_chain, x)
+            chain = _Template.of(vm, _encode_chain, x)
         else:
             encode_units(vm, formula, x, vm.start_layer, x)
             formula.add_template(chain, vm.block(x))
@@ -443,7 +462,7 @@ def encode_inputs(
                 formula.add_template(windows[key], vm.block(x))
             else:
                 encode_redundant_sorts(vm, formula, x)
-                windows[key] = _Template(vm, encode_redundant_sorts, x)
+                windows[key] = _Template.of(vm, encode_redundant_sorts, x)
 
 
 def encode_last_layers(vm: VarMap, formula: CnfFormula) -> None:
@@ -529,6 +548,28 @@ def encode_prefix(vm: VarMap, formula: CnfFormula, prefix: Sentence | str) -> li
     return sorted(unsorted_outputs(net))
 
 
+# counter templates ``_counter_template`` keeps; a level, and each step of
+# ``optimize``, builds its instances at one (n, d, s)
+COUNTER_TEMPLATES = 8
+
+
+@lru_cache(maxsize=COUNTER_TEMPLATES)
+def _counter_template(n: int, d: int, s: int) -> _Template:
+    """The cardinality network for "at most s of the g literals of an
+    (n, d) VarMap", followed by its unit clause when it has one, as a
+    template over its auxiliaries.  Those are one block of ids, allocated
+    right after the g literals here and wherever ``VarMap.reserve`` puts
+    them in an instance; the g literals, which every VarMap numbers alike,
+    are its constants."""
+    vm = VarMap(n, d)
+    first = vm.num_vars + 1
+    card = cardinality.build_atmost(vm.g_lits(), s, vm.fresh)
+    entries = [e for clause in card.clauses for e in (*clause, 0)]
+    if card.c_target is not None:
+        entries += (-card.c_target, 0)
+    return _Template(entries, range(first, vm.num_vars + 1))
+
+
 def build_instance(
     n: int, d: int, s: int, options: EncodeOptions | None = None
 ) -> tuple[CnfFormula, VarMap]:
@@ -554,10 +595,7 @@ def build_instance(
     if options.last_layer:
         encode_last_layers(vm, formula)
     encode_sigma(vm, formula, options.sigma1, options.sigma2, options.sigma3)
-    card = cardinality.build_atmost(vm.g_lits(), s, vm.fresh)
-    for clause in card.clauses:
-        formula.add(*clause)
-    if card.c_target is not None:
-        formula.add(-card.c_target)
+    counter = _counter_template(n, d, s)
+    formula.add_template(counter, vm.reserve(counter.width))
     formula.num_vars = vm.num_vars
     return formula, vm

@@ -72,7 +72,7 @@ def chain_template():
         vm.register_input(x)
     encoding.encode_sorts(vm, encoding.CnfFormula(), xs[0])
     vm.register_input(xs[3])  # after the auxiliaries: its block lies beyond them
-    return vm, xs, encoding._Template(vm, encoding._encode_chain, xs[0])
+    return vm, xs, encoding._Template.of(vm, encoding._encode_chain, xs[0])
 
 
 def matchings(n: int) -> list[tuple[tuple[int, int], ...]]:

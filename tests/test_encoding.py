@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from sortnetsat import encoding
+from sortnetsat import cardinality, encoding
 from sortnetsat.encoding import (
     ENCODER_VERSION,
     CnfFormula,
@@ -334,6 +334,67 @@ def test_templates_match_encoding_each_input(monkeypatch, options):
         assert fast.num_vars == ref.num_vars, (n, d, prefix)
         assert fast == ref, (n, d, prefix)
         assert fast_vm.dump_map() == ref_vm.dump_map(), (n, d, prefix)
+
+
+def _build_with_a_direct_counter(monkeypatch, n, d, s, options):
+    """What build_instance promises to equal: the instance without its
+    counter, then the clauses of a direct ``build_atmost`` call over fresh
+    ids and its unit."""
+    with monkeypatch.context() as m:
+        m.setattr(encoding, "_counter_template", lambda n, d, s: encoding._Template([], range(0)))
+        formula, vm = build_instance(n, d, s, options)
+    card = cardinality.build_atmost(vm.g_lits(), s, vm.fresh)
+    for clause in card.clauses:
+        formula.add(*clause)
+    if card.c_target is not None:
+        formula.add(-card.c_target)
+    formula.num_vars = vm.num_vars
+    return formula, vm, card
+
+
+@pytest.mark.parametrize(
+    "n,d,s,prefix",
+    [(4, 3, 5, None), (5, 4, 9, None), (3, 2, 6, None), (3, 2, 9, None),
+     (7, 4, 10, "(0,1221c)"), (6, 3, 7, "(0,0,12)"), (6, 3, 45, "(0,0,12)")],
+)
+def test_counter_template_matches_a_direct_build(monkeypatch, n, d, s, prefix):
+    options = EncodeOptions().with_prefix(prefix)
+    formula, vm = build_instance(n, d, s, options)
+    ref, ref_vm, card = _build_with_a_direct_counter(monkeypatch, n, d, s, options)
+    # s at least the number of g literals: no counter, no auxiliary
+    assert (card.c_target is None) == (s >= len(vm.g_lits()))
+    assert formula.num_vars == ref.num_vars and formula == ref
+    assert emit_dimacs(formula) == emit_dimacs(ref)
+    assert vm.dump_map() == ref_vm.dump_map()
+
+
+def test_instances_of_one_level_share_a_counter_template():
+    def counter(formula):
+        (template, block), tail = formula.parts[-2:]
+        assert tail == [] and block.stop == formula.num_vars + 1
+        return template
+
+    opts = EncodeOptions()
+    a, _ = build_instance(7, 5, 14, opts.with_prefix("(0,1221c)"))
+    b, _ = build_instance(7, 5, 14, opts.with_prefix("(0,0,12,12)"))
+    c, _ = build_instance(7, 5, 13, opts.with_prefix("(0,0,12,12)"))
+    assert counter(a) is counter(b)
+    assert counter(c) is not counter(a)
+    assert counter(c).num_clauses < counter(a).num_clauses
+
+
+def test_counter_cache_stays_within_its_bound():
+    encoding._counter_template.cache_clear()
+    bound = encoding.COUNTER_TEMPLATES
+    assert encoding._counter_template.cache_info().maxsize == bound
+    for s in range(1, 3 * bound):
+        build_instance(4, 3, s)
+        assert encoding._counter_template.cache_info().currsize <= bound
+    assert encoding._counter_template.cache_info().currsize == bound
+    # the last bound levels are the ones kept
+    hits = encoding._counter_template.cache_info().hits
+    build_instance(4, 3, 3 * bound - 1)
+    assert encoding._counter_template.cache_info().hits == hits + 1
 
 
 def test_map_dump_mentions_roles():

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import os
 import random
 import re
 import subprocess
@@ -464,32 +465,98 @@ def test_bundled_solver_search_is_pinned(bundled_solver, tmp_path):
         assert (hashlib.sha256(model.encode()).hexdigest() if model else None) == model_sha
 
 
-@pytest.mark.parametrize(
-    "text, code, expected",
-    [
-        # a tautology is dropped, not cut down to one of its literals
-        ("p cnf 1 2\n1 -1 0\n-1 0\n", 10, ["s SATISFIABLE", "v -1 0"]),
-        ("p cnf 1 2\n-1 1 0\n1 0\n", 10, ["s SATISFIABLE", "v 1 0"]),
-        # a repeated literal: a unit, propagated before any decision
-        ("p cnf 2 2\n2 2 0\n-2 1 0\n", 10, ["c decisions 0", "s SATISFIABLE", "v 1 2 0"]),
-        ("p cnf 2 2\n1 2 0\n0\n", 20, ["s UNSATISFIABLE"]),
-        ("p cnf 1 2\n1 0\n-1", 20, ["s UNSATISFIABLE"]),
-        ("c 0\np cnf 1 1\nc 1 0\n-1 0\n", 10, ["s SATISFIABLE", "v -1 0"]),
-    ],
-    ids=["tautology", "tautology-reversed", "repeated-literal", "empty-clause",
-         "unterminated-last-clause", "comment-lines"],
-)
+# DIMACS texts the bundled solver reads: its exit code and lines of its output
+READ_CASES = [
+    # a tautology is dropped, not cut down to one of its literals
+    pytest.param("p cnf 1 2\n1 -1 0\n-1 0\n", 10, ["s SATISFIABLE", "v -1 0"], id="tautology"),
+    pytest.param("p cnf 1 2\n-1 1 0\n1 0\n", 10, ["s SATISFIABLE", "v 1 0"],
+                 id="tautology-reversed"),
+    # a repeated literal: a unit, propagated before any decision
+    pytest.param("p cnf 2 2\n2 2 0\n-2 1 0\n", 10,
+                 ["c decisions 0", "s SATISFIABLE", "v 1 2 0"], id="repeated-literal"),
+    pytest.param("p cnf 2 2\n1 2 0\n0\n", 20, ["s UNSATISFIABLE"], id="empty-clause"),
+    pytest.param("p cnf 1 2\n1 0\n-1", 20, ["s UNSATISFIABLE"], id="unterminated-last-clause"),
+    pytest.param("c 0\np cnf 1 1\nc 1 0\n-1 0\n", 10, ["s SATISFIABLE", "v -1 0"],
+                 id="comment-lines"),
+    pytest.param("p cnf 2 2\r\n2\t1 0\r\n-1\t0\r\n", 10,
+                 ["c decisions 0", "s SATISFIABLE", "v -1 2 0"], id="crlf-and-tabs"),
+    pytest.param("p cnf 3 2\n3 0\n-3 -2 0\n", 10, ["s SATISFIABLE", "v -1 -2 3 0"],
+                 id="literal-equal-to-the-count"),
+    pytest.param("p cnf 2 2\n+1 0\n-1 +2 0\n", 10, ["c decisions 0", "s SATISFIABLE", "v 1 2 0"],
+                 id="leading-plus"),
+]
+
+# literals beyond "p cnf 2 1"; the 20-digit ones overflow a 64-bit integer
+BEYOND_THE_COUNT = ["3", "-3", "12345678901234567890", "-12345678901234567890"]
+
+# DIMACS texts the bundled solver rejects, and its message on stderr
+MALFORMED_CASES = [
+    pytest.param("p cnf 2 1\n1 - 0\n", "cannot parse literal", id="lone-minus"),
+    pytest.param("p cnf 2 1\n1 x 0\n", "cannot parse literal", id="letter"),
+    pytest.param("1 0\np cnf 2 1\n", "clause before p line", id="clause-before-p-line"),
+    # a second p line would reallocate the state and forget the clauses before it
+    pytest.param("p cnf 2 1\n1 2 0\np cnf 2 2\n-1 0\n-2 0\n", "second p line",
+                 id="second-p-line"),
+    pytest.param("p cnf -2 1\n1 0\n", "bad p line", id="negative-var-count"),
+    pytest.param("p cnf 2 -1\n1 0\n", "bad p line", id="negative-clause-count"),
+    pytest.param("p cnf 2\n1 0\n", "bad p line", id="missing-clause-count"),
+    pytest.param("p cnf\n1 0\n", "bad p line", id="missing-counts"),
+    # 2v + 1 would overflow an int for the last variable
+    pytest.param("p cnf 2147483647 1\n1 0\n", "bad p line", id="var-count-beyond-an-int"),
+    pytest.param("p cnf 2 99999999999999999999\n1 0\n", "bad p line",
+                 id="clause-count-beyond-an-int"),
+    pytest.param("c no p line\n", "missing p line", id="missing-p-line"),
+]
+
+
+@pytest.mark.parametrize("text, code, expected", READ_CASES)
 def test_bundled_solver_reads_dimacs(bundled_solver, tmp_path, text, code, expected):
     cnf = tmp_path / "in.cnf"
-    cnf.write_text(text)
+    cnf.write_bytes(text.encode())
     proc = _run_bundled(bundled_solver, cnf)
     lines = proc.stdout.splitlines()
     assert proc.returncode == code and all(line in lines for line in expected), proc.stdout
 
 
-@pytest.mark.parametrize("lit", ["3", "-3"])
+@pytest.mark.parametrize("lit", BEYOND_THE_COUNT)
 def test_bundled_solver_rejects_a_literal_beyond_the_declared_count(bundled_solver, tmp_path, lit):
     cnf = tmp_path / "in.cnf"
     cnf.write_text(f"p cnf 2 1\n1 {lit} 0\n")
     proc = _run_bundled(bundled_solver, cnf)
     assert proc.returncode == 1 and "literal beyond declared vars" in proc.stderr
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_CASES)
+def test_bundled_solver_rejects_a_malformed_file(bundled_solver, tmp_path, text, message):
+    cnf = tmp_path / "in.cnf"
+    cnf.write_text(text)
+    proc = _run_bundled(bundled_solver, cnf)
+    assert proc.returncode == 1 and proc.stdout == "" and f"minicdcl: {message}\n" == proc.stderr
+
+
+@needs_cc
+def test_bundled_solver_is_clean_under_sanitizers(bundled_solver, tmp_path):
+    """A build with AddressSanitizer and UndefinedBehaviorSanitizer reports
+    nothing on every loader case above and on a pinned instance, and answers
+    as the bundled binary does.  Leak checks are off: the solver frees
+    nothing at exit."""
+    binary = tmp_path / "minicdcl-asan"
+    cmd = [csolver.compiler(), "-std=c99", "-O1", "-g", "-fsanitize=address,undefined",
+           "-fno-omit-frame-pointer", "-o", str(binary), str(csolver._SOURCE), "-lm"]
+    if subprocess.run(cmd, capture_output=True, timeout=120).returncode != 0:
+        pytest.skip("the compiler cannot build with -fsanitize=address,undefined")
+    texts = [case.values[0] for case in READ_CASES + MALFORMED_CASES]
+    texts += [f"p cnf 2 1\n1 {lit} 0\n" for lit in BEYOND_THE_COUNT]
+    f, _ = build_instance(6, 5, 12)
+    texts.append(emit_dimacs(f))
+    env = {**os.environ, "ASAN_OPTIONS": "detect_leaks=0", "UBSAN_OPTIONS": "print_stacktrace=1"}
+    cnf = tmp_path / "in.cnf"
+    for text in texts:
+        cnf.write_bytes(text.encode())
+        checked = subprocess.run([str(binary), str(cnf)], capture_output=True, text=True,
+                                 timeout=300, env=env)
+        assert "Sanitizer" not in checked.stderr and "runtime error" not in checked.stderr, (
+            text[:80], checked.stderr)
+        plain = _run_bundled(bundled_solver, cnf)
+        assert (checked.returncode, checked.stdout, checked.stderr) == (
+            plain.returncode, plain.stdout, plain.stderr), text[:80]
