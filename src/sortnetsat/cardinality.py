@@ -31,7 +31,6 @@ class CardinalityResult:
     output_lits: tuple[int | None, ...]
     clauses: tuple[tuple[int, ...], ...]
     c_target: int | None
-    num_aux: int
 
 
 def _merge_schedule(lo: int, hi: int, r: int, out: list[tuple[int, int]]) -> None:
@@ -73,7 +72,7 @@ def build_atmost(
     m = len(inputs)
     if m == 0 or s >= m:
         # nothing to constrain: fewer inputs than the bound allows
-        return CardinalityResult((), (), None, 0)
+        return CardinalityResult((), (), None)
 
     width = 1
     while width < m:
@@ -110,14 +109,11 @@ def build_atmost(
 
     hi_var: dict[int, int] = {}
     lo_var: dict[int, int] = {}
-    num_aux = 0
     for idx in range(len(nodes)):
         if hi_needed[idx]:
             hi_var[idx] = fresh()
-            num_aux += 1
         if lo_needed[idx]:
             lo_var[idx] = fresh()
-            num_aux += 1
 
     def lit(w: Wire) -> int:
         if isinstance(w, int):
@@ -140,13 +136,4 @@ def build_atmost(
     outputs = tuple(
         None if w is _FALSE else lit(w) for w in wires[: s + 1]
     )
-    return CardinalityResult(outputs, tuple(clauses), outputs[s], num_aux)
-
-
-def count_aux_size(num_inputs: int, s: int) -> tuple[int, int]:
-    """Exact (auxiliary variables, clauses) of the construction; monotone in
-    both arguments."""
-    counter = iter(range(10**9))
-    dummy_inputs = list(range(1, num_inputs + 1))
-    res = build_atmost(dummy_inputs, min(s, num_inputs), lambda: next(counter) + num_inputs + 1)
-    return res.num_aux, len(res.clauses)
+    return CardinalityResult(outputs, tuple(clauses), outputs[s])

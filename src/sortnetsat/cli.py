@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: ``prefixes``, ``encode``, ``solve``, ``optimize``, ``verify``,
-``render``, ``solver-build``.  The external solver command comes from
-``--solver``, the SORTNETSAT_SOLVER environment variable, or the bundled
-CDCL solver compiled on first use.
+``render``, ``solver-build``.  The external solver command comes from the
+SORTNETSAT_SOLVER environment variable, or the bundled CDCL solver compiled
+on first use.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ def _encode_options(args: argparse.Namespace) -> EncodeOptions:
         sigma1=not args.no_sigma1,
         sigma2=not args.no_sigma2,
         sigma3=not args.no_sigma3,
-        only_unsorted=not args.all_inputs,
     ).with_prefix(args.prefix)
 
 
@@ -48,16 +47,13 @@ def _add_encode_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-sigma1", action="store_true")
     p.add_argument("--no-sigma2", action="store_true")
     p.add_argument("--no-sigma3", action="store_true")
-    p.add_argument("--all-inputs", action="store_true", help="encode sorted inputs too")
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
     if args.timeout <= 0:
         raise UsageError(f"--timeout must be positive, got {args.timeout:g}")
-    if getattr(args, "backend", "auto") == "builtin":
+    if args.backend == "builtin":
         return SolverConfig("builtin", timeout=args.timeout)
-    if getattr(args, "solver", None):
-        return SolverConfig("external", args.solver, timeout=args.timeout)
     return default_config(timeout=args.timeout)
 
 
@@ -220,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("s", type=int)
     _add_encode_flags(p)
     p.add_argument("--backend", default="auto", choices=["auto", "builtin"])
-    p.add_argument("--solver", help="external solver command template with {cnf}")
     p.add_argument("--timeout", type=float, default=3600.0)
     p.add_argument("--catalog")
     p.add_argument("-o", "--output", help="write the witness network JSON here")
@@ -233,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, help="fixed size for --mode depth")
     p.add_argument("--prefixes", default="auto", choices=["auto", "none", "tprime"])
     p.add_argument("--backend", default="auto", choices=["auto", "builtin"])
-    p.add_argument("--solver")
     p.add_argument("--timeout", type=float, default=3600.0)
     p.add_argument("--catalog")
     p.add_argument("--jobs", type=int, default=1,

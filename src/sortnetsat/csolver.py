@@ -51,7 +51,7 @@ def ensure_built(quiet: bool = False) -> str | None:
     # share a half-written file; the rename into place is atomic
     with tempfile.TemporaryDirectory(dir=out.parent) as tmpdir:
         tmp = os.path.join(tmpdir, out.name)
-        cmd = [cc, *CFLAGS, "-o", tmp, str(_SOURCE), "-lm"]
+        cmd = [cc, *CFLAGS, "-o", tmp, str(_SOURCE)]
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
             if not quiet:

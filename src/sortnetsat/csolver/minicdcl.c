@@ -19,10 +19,10 @@
  * begins a comment, up to the end of its line; blanks are spaces, tabs, CRs
  * and newlines.  It dies with a message on stderr and exit code 1 on a
  * literal beyond the declared count, anything else that is no literal, a
- * clause before the "p cnf VARS CLAUSES" line, a p line with a count
- * missing, negative or too large (VARS at most (INT_MAX - 3) / 2, so that
- * every literal code fits an int), and a second p line, which would
- * otherwise drop the clauses read before it.  A last clause without its 0 is
+ * clause before the "p cnf VARS CLAUSES" line, a p line with a count missing,
+ * negative or too large (VARS at most (INT_MAX - 3) / 2, so that every
+ * literal code and twice any LBD fit an int), and a second p line, which
+ * would drop the clauses read before it.  A last clause without its 0 is
  * kept, a tautology is dropped and a repeated literal is kept once.
  *
  * Propagation follows the cache-conscious layout of Chu, Harwood & Stuckey
@@ -42,7 +42,6 @@
  */
 
 #include <limits.h>
-#include <math.h>
 #include <signal.h>
 #include <stdio.h>
 #include <stdlib.h>
@@ -446,7 +445,7 @@ static void drop_satisfied(vec *refs) {
 }
 
 /* ---------------- restarts ---------------- */
-static double luby(double y, int x) {
+static int luby(int x) {
     int size, seq;
     for (size = 1, seq = 0; size < x + 1; seq++, size = 2 * size + 1)
         ;
@@ -455,7 +454,7 @@ static double luby(double y, int x) {
         seq--;
         x = x % size;
     }
-    return pow(y, seq);
+    return seq;
 }
 
 /* ---------------- DIMACS ---------------- */
@@ -650,14 +649,14 @@ int main(int argc, char **argv) {
             if (learnt_c.sz == 1) {
                 enqueue(learnt_c.data[0], -1);
             } else {
-                int cr = add_clause_raw(learnt_c.data, learnt_c.sz, 1, lbd > 1073741823 ? 1073741823 : lbd);
+                int cr = add_clause_raw(learnt_c.data, learnt_c.sz, 1, lbd);
                 enqueue(learnt_c.data[0], cr);
             }
             var_inc /= 0.95;
         } else {
             if (conflicts - conflicts_at_restart >= restart_budget) {
                 restarts++;
-                restart_budget = (long)(luby(2.0, (int)restarts) * 100.0);
+                restart_budget = 100L << luby((int)restarts);
                 conflicts_at_restart = conflicts;
                 backjump(0);
                 if (learnts.sz > max_learnts) {

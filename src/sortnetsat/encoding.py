@@ -171,7 +171,6 @@ class EncodeOptions:
     sigma1: bool = True
     sigma2: bool = True
     sigma3: bool = True
-    only_unsorted: bool = True
     prefix: Sentence | None = None
 
     def with_prefix(self, prefix: Sentence | str | None) -> "EncodeOptions":
@@ -183,15 +182,11 @@ class EncodeOptions:
         """Stable text form for catalog keys, naming the encoder version."""
         flags = [f"encoder={ENCODER_VERSION}"] + [
             f"{name}={int(getattr(self, name))}"
-            for name in (
-                "redundant_sorts",
-                "last_layer",
-                "sigma1",
-                "sigma2",
-                "sigma3",
-                "only_unsorted",
-            )
+            for name in ("redundant_sorts", "last_layer", "sigma1", "sigma2", "sigma3")
         ]
+        # sorted inputs are never encoded; the field stays so that stored
+        # keys keep their text
+        flags.append("only_unsorted=1")
         flags.append(f"prefix={format_sentence(self.prefix) if self.prefix else '-'}")
         return ",".join(flags)
 
@@ -436,8 +431,9 @@ class _Template:
 def encode_inputs(
     vm: VarMap, formula: CnfFormula, inputs: list[Bits], redundant_sorts: bool
 ) -> None:
-    """``encode_sorts`` for every input in turn, each unsorted one followed by
-    ``encode_redundant_sorts`` when ``redundant_sorts`` is set.
+    """``encode_sorts`` for every input in turn, each followed by
+    ``encode_redundant_sorts``, which needs it unsorted, when
+    ``redundant_sorts`` is set.
 
     Only the first input, and the first input with each window, go through
     those functions, which allocate the auxiliaries in order and write their
@@ -456,7 +452,7 @@ def encode_inputs(
             encode_units(vm, formula, x, vm.start_layer, x)
             formula.add_template(chain, vm.block(x))
             encode_units(vm, formula, x, vm.d, tuple(sorted(x)))
-        if redundant_sorts and not is_sorted_bits(x):
+        if redundant_sorts:
             key = window_of(x)
             if key in windows:
                 formula.add_template(windows[key], vm.block(x))
@@ -588,9 +584,9 @@ def build_instance(
     if options.prefix is not None:
         inputs = encode_prefix(vm, formula, options.prefix)
     else:
-        inputs = [
-            x for x in all_inputs(n) if not (options.only_unsorted and is_sorted_bits(x))
-        ]
+        # every comparator network leaves a sorted input sorted, so only the
+        # unsorted ones constrain it
+        inputs = [x for x in all_inputs(n) if not is_sorted_bits(x)]
     encode_inputs(vm, formula, inputs, options.redundant_sorts)
     if options.last_layer:
         encode_last_layers(vm, formula)

@@ -318,7 +318,8 @@ def run_level(
     on_result: Callable[[SearchResult], None] | None = None,
 ) -> LevelOutcome:
     """Solve (n, d, s) with the default encoding once per prefix (once without
-    a prefix when ``prefixes`` is None) in ``jobs`` worker processes.
+    a prefix when ``prefixes`` is None) in ``jobs`` worker processes;
+    ValueError when ``jobs`` is below 1.
 
     The calling process answers what it can from ``catalog`` (see
     ``cached_result``) and sends the other tasks to the workers, which encode,
@@ -336,12 +337,13 @@ def run_level(
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     config = config or SolverConfig()
     tasks = [
         SearchTask(n, d, s, EncodeOptions().with_prefix(p), config)
         for p in ([None] if prefixes is None else prefixes)
     ]
-    jobs = max(jobs, 1)
     batch = jobs if stop_on_sat else max(len(tasks), 1)
     results: list[SearchResult] = []
     # fork, not spawn: a spawned worker re-imports the package, about 0.13 s

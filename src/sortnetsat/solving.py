@@ -41,13 +41,12 @@ class SolverConfig:
     """``backend`` is "builtin" or "external"; external needs a command
     template, e.g. ``"kissat -q {cnf}"`` ({cnf} is replaced by the file path,
     appended if missing).  Each external solve writes its formula into a
-    fresh temporary directory inside ``workdir`` (the system default when
-    None) and removes it afterwards."""
+    fresh temporary directory (under ``TMPDIR`` when it is set) and removes
+    it afterwards."""
 
     backend: str = "builtin"
     command: str | None = None
     timeout: float = 3600.0
-    workdir: str | None = None
 
     def __post_init__(self) -> None:
         if self.backend not in ("builtin", "external"):
@@ -176,9 +175,9 @@ def _solve_external(
     """Status, model and counters from the external solver, and the seconds
     taken until the formula was written."""
     t0 = time.perf_counter()
-    # a fresh directory per call, also inside a shared ``config.workdir``:
-    # concurrent solves must never hand a solver each other's formula
-    with tempfile.TemporaryDirectory(prefix="sortnetsat-", dir=config.workdir) as tmp:
+    # a fresh directory per call: concurrent solves must never hand a solver
+    # each other's formula
+    with tempfile.TemporaryDirectory(prefix="sortnetsat-") as tmp:
         workdir = Path(tmp)
         cnf_path = workdir / "instance.cnf"
         with cnf_path.open("w") as fh:
@@ -250,15 +249,15 @@ def decode_network(model: dict[int, bool], vm: VarMap) -> Network:
         raise SolverBackendError(f"model decodes to an invalid network: {exc}") from exc
 
 
-def default_config(timeout: float = 3600.0, workdir: str | None = None) -> SolverConfig:
+def default_config(timeout: float = 3600.0) -> SolverConfig:
     """External solver from $SORTNETSAT_SOLVER, else the bundled CDCL solver
     (compiled on first use), else the builtin DPLL."""
     env = os.environ.get(SOLVER_ENV_VAR)
     if env:
-        return SolverConfig("external", env, timeout, workdir)
+        return SolverConfig("external", env, timeout)
     from sortnetsat import csolver
 
     binary = csolver.ensure_built(quiet=True)
     if binary:
-        return SolverConfig("external", f"{binary} {{cnf}}", timeout, workdir)
-    return SolverConfig("builtin", None, timeout, workdir)
+        return SolverConfig("external", f"{binary} {{cnf}}", timeout)
+    return SolverConfig("builtin", None, timeout)

@@ -178,14 +178,6 @@ def sentence_of(net: Network) -> Sentence:
     return tuple(sorted(words))
 
 
-def word_of(net: Network) -> Word:
-    """Word of a connected network with at most two layers."""
-    sent = sentence_of(net)
-    if len(sent) != 1:
-        raise ValueError(f"network is not connected: components {sent}")
-    return sent[0]
-
-
 # ---------------------------------------------------------------------------
 # sentence -> network
 

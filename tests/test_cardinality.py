@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from sortnetsat.cardinality import CardinalityResult, build_atmost, count_aux_size
+from sortnetsat.cardinality import CardinalityResult, build_atmost
 
 
 def make(m: int, s: int) -> tuple[CardinalityResult, int]:
@@ -78,23 +78,29 @@ def test_monotone_outputs():
         assert seq == sorted(seq, reverse=True)
 
 
+def sizes(m: int, s: int) -> tuple[int, int]:
+    """(auxiliary variables, clauses) of the counter for at most s of m."""
+    res, top = make(m, s)
+    return top - m, len(res.clauses)
+
+
 def test_single_input_costs_nothing():
-    aux, clauses = count_aux_size(1, 0)
+    aux, clauses = sizes(1, 0)
     assert aux == 0 and clauses <= 2
 
 
 def test_aux_size_within_mlog2m():
-    aux, clauses = count_aux_size(8, 3)
+    aux, clauses = sizes(8, 3)
     assert clauses <= 20 * 8 * 9  # c * m * log2(m)^2 with a generous constant
     assert aux <= clauses
 
 
 def test_counts_deterministic_and_monotone():
-    assert count_aux_size(8, 3) == count_aux_size(8, 3)
+    assert make(8, 3) == make(8, 3)
     for m in (4, 8, 16):
-        sizes = [count_aux_size(m, s)[1] for s in range(0, m)]
-        assert sizes == sorted(sizes)
-    widths = [count_aux_size(m, 3)[1] for m in (4, 8, 16, 32)]
+        counts = [sizes(m, s)[1] for s in range(0, m)]
+        assert counts == sorted(counts)
+    widths = [sizes(m, 3)[1] for m in (4, 8, 16, 32)]
     assert widths == sorted(widths)
 
 

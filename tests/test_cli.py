@@ -156,13 +156,16 @@ def test_optimize_pareto_prints_its_witnesses(tmp_path, capsys):
         (["render", "net.json", "-o", "nodir/net.svg"],
          "cannot write nodir/net.svg: no directory nodir"),
         (["render", "net.json", "-o", "."], "cannot write .: it is a directory"),
+        (["encode", "4", "3", "5", "--all-inputs"], "unrecognized arguments: --all-inputs"),
+        (["solve", "4", "3", "5", "--solver", "x"], "unrecognized arguments: --solver x"),
     ],
     ids=["prefix-too-deep", "malformed-prefix", "non-canonical-prefix", "no-channels",
          "one-channel-optimize", "size-mode-without-depth", "depth-zero", "no-jobs",
          "no-timeout", "verify-missing-file", "render-missing-file", "verify-non-json",
          "verify-no-layers", "render-no-layers", "verify-comparator-out-of-range",
          "solve-output-dir", "encode-output-dir", "encode-map-dir", "optimize-witness-dir",
-         "render-output-dir", "render-output-is-a-directory"],
+         "render-output-dir", "render-output-is-a-directory", "encode-all-inputs",
+         "solve-solver-flag"],
 )
 def test_input_errors_are_reported_without_a_traceback(tmp_path, monkeypatch, capsys,
                                                         argv, message):

@@ -139,10 +139,10 @@ def test_build_rejects_bad_dimensions():
 
 
 def test_only_unsorted_drops_sorted_inputs():
-    full, _ = build_instance(3, 2, 3, EncodeOptions(only_unsorted=False))
-    slim, vm = build_instance(3, 2, 3, EncodeOptions(only_unsorted=True))
-    assert len(slim.clauses) < len(full.clauses)
-    assert len(vm.inputs) == 2**3 - 4
+    for n in (1, 2, 3, 5):
+        _, vm = build_instance(n, 2, 3)
+        assert vm.inputs == [x for x in all_inputs(n) if not is_sorted_bits(x)]
+        assert len(vm.inputs) == 2**n - n - 1
 
 
 def test_deterministic_emission():
@@ -251,7 +251,6 @@ def test_flat_store_holds_few_bytes_per_clause():
 # byte-identical output, so any change to variable numbering, clause order or
 # the map text shows up here, and must come with a new ENCODER_VERSION (which
 # changes every catalog key) and new rows under it
-ALL_INPUTS_NO_WINDOWS = {"redundant_sorts": False, "only_unsorted": False}
 PINNED = {
     1: [
         (4, 3, 5, None, {}, 378, 2367,
@@ -268,9 +267,9 @@ PINNED = {
         (10, 7, 31, None, {}, 90510, 2223520,
          "66f0cb0340f14f78b49ff8cabae585c4d387dcfd45bf215f68bb7cc76d0597d5",
          "cbdf2d4c5215c31f601df98ef441b10e9424d767d31067a003afda49550c850f"),
-        # sorted inputs get value chains, and no input gets window clauses
-        (6, 4, 10, None, ALL_INPUTS_NO_WINDOWS, 2707, 29492,
-         "2d93cb7a76398ab7c9fc67012b8a905758948cdcfb938678967b47dce8cff637", None),
+        # no input gets window clauses
+        (6, 4, 10, None, {"redundant_sorts": False}, 2497, 26552,
+         "9cedb8bf7f4e636b8d4314f035f1738e430cfe7a0c0a125879d2f8574ede1800", None),
         # d = 2 leaves no free layer: each input is its 2n units
         (9, 2, 9, "(0,1221,1221c)", {}, 1908, 5319,
          "e59398cc8d48abc84b89cf15bc80d397e00f061a9280bf760fb2202d3222650f", None),
@@ -284,6 +283,15 @@ def test_encoder_version_is_pinned():
 
 def test_options_key_names_the_encoder_version():
     assert EncodeOptions().key().startswith(f"encoder={ENCODER_VERSION},")
+
+
+def test_options_key_text_is_pinned():
+    # every stored catalog key has this text: a change to it orphans them
+    flags = "encoder=1,redundant_sorts=1,last_layer=1,sigma1=1,sigma2=1,sigma3=1,only_unsorted=1"
+    assert EncodeOptions().key() == flags + ",prefix=-"
+    prefixed = EncodeOptions().with_prefix("(0,1221,1221c)")
+    assert prefixed.key() == flags + ",prefix=(0,1221,1221c)"
+    assert EncodeOptions(sigma2=False).key() == flags.replace("sigma2=1", "sigma2=0") + ",prefix=-"
 
 
 @pytest.mark.parametrize(
@@ -311,14 +319,14 @@ def _encode_each_input(vm, formula, inputs, redundant_sorts):
         vm.register_input(x)
     for x in inputs:
         encode_sorts(vm, formula, x)
-        if redundant_sorts and not is_sorted_bits(x):
+        if redundant_sorts:
             encode_redundant_sorts(vm, formula, x)
 
 
 @pytest.mark.parametrize(
     "options",
-    [{}, {"redundant_sorts": False}, {"only_unsorted": False}, ALL_INPUTS_NO_WINDOWS],
-    ids=["default", "no-windows", "all-inputs", "all-inputs-no-windows"],
+    [{}, {"redundant_sorts": False}],
+    ids=["default", "no-windows"],
 )
 def test_templates_match_encoding_each_input(monkeypatch, options):
     points = [(n, d, None) for n in (2, 3, 5, 6) for d in (1, 2, 4)]
@@ -416,12 +424,10 @@ def test_optional_families_never_change_satisfiability(builtin_cfg):
     from sortnetsat.solving import solve
 
     bare = EncodeOptions(
-        redundant_sorts=False, last_layer=False,
-        sigma1=False, sigma2=False, sigma3=False, only_unsorted=False,
+        redundant_sorts=False, last_layer=False, sigma1=False, sigma2=False, sigma3=False
     )
     variants = [EncodeOptions()]  # everything on
-    for flag in ("redundant_sorts", "last_layer", "sigma1", "sigma2", "sigma3",
-                 "only_unsorted"):
+    for flag in ("redundant_sorts", "last_layer", "sigma1", "sigma2", "sigma3"):
         variants.append(EncodeOptions(**{**bare.__dict__, flag: True, "prefix": None}))
     points = [
         (n, d, s)
@@ -442,8 +448,7 @@ def test_optional_families_safe_on_five_channels(external_cfg):
     from sortnetsat.solving import solve
 
     bare = EncodeOptions(
-        redundant_sorts=False, last_layer=False,
-        sigma1=False, sigma2=False, sigma3=False, only_unsorted=False,
+        redundant_sorts=False, last_layer=False, sigma1=False, sigma2=False, sigma3=False
     )
     for n, d, s in [(5, 5, 9), (5, 5, 8), (5, 4, 10), (5, 3, 8), (5, 6, 9)]:
         reference, _ = build_instance(n, d, s, bare)

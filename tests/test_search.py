@@ -268,6 +268,15 @@ def test_min_size_witnesses_are_optimal(builtin_cfg, jobs):
     assert all(r.network.size == claim.value for r in claim.witnesses)
 
 
+def test_level_runs_refuse_fewer_than_one_job(builtin_cfg, catalog):
+    with pytest.raises(ValueError, match="jobs must be at least 1, got 0"):
+        run_level(4, 3, 5, None, config=builtin_cfg, catalog=catalog, jobs=0)
+    with pytest.raises(ValueError, match="jobs must be at least 1, got 0"):
+        optimize(4, "min_size_given_depth", depth=3, config=builtin_cfg, catalog=catalog,
+                 jobs=0)
+    assert not catalog.path.exists()  # nothing was solved
+
+
 def test_run_level_stops_after_the_batch_holding_the_first_sat(builtin_cfg, tmp_path):
     # over T'_4, (4, 3, 6) is first SAT at the fourth prefix, the end of the
     # second batch of two

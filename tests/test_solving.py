@@ -4,6 +4,7 @@ import os
 import random
 import re
 import subprocess
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -294,7 +295,7 @@ def test_external_bad_model_is_an_error(tmp_path):
         solve(formula(1, [(1,)]), cfg)
 
 
-def test_shared_workdir_gives_each_solve_its_own_file(tmp_path):
+def test_shared_workdir_gives_each_solve_its_own_file(tmp_path, monkeypatch):
     # a stand-in solver that logs the path it was given and the header of the
     # formula it found there
     log = tmp_path / "calls.log"
@@ -302,7 +303,9 @@ def test_shared_workdir_gives_each_solve_its_own_file(tmp_path):
     script.write_text(f'echo "$1 $(head -n 1 "$1")" >> "{log}"\necho s UNSATISFIABLE\n')
     workdir = tmp_path / "work"
     workdir.mkdir()
-    cfg = SolverConfig("external", f"sh {script} {{cnf}}", timeout=10, workdir=str(workdir))
+    # the root every temporary directory goes under, as TMPDIR sets it
+    monkeypatch.setattr(tempfile, "tempdir", str(workdir))
+    cfg = SolverConfig("external", f"sh {script} {{cnf}}", timeout=10)
     for f in (formula(1, [(1,)]), formula(2, [(1, 2)])):
         assert solve(f, cfg).status == UNSAT
     calls = [line.split(" ", 1) for line in log.read_text().splitlines()]

@@ -19,7 +19,6 @@ from sortnetsat.words import (
     sentence_of,
     word_channels,
     word_kind,
-    word_of,
 )
 from tests.conftest import matchings, random_two_layer
 
@@ -66,30 +65,25 @@ def test_counting_reads_the_one_cached_word_pool(monkeypatch):
 
 def test_word_of_tail_example():
     net = Network.make(4, [[(2, 3)], [(1, 3), (2, 4)]])
-    assert word_of(net) == "0120"
+    assert sentence_of(net) == ("0120",)
 
 
 def test_word_of_single_comparator_is_stick():
-    assert word_of(Network.make(2, [[(1, 2)], []])) == "12"
+    assert sentence_of(Network.make(2, [[(1, 2)], []])) == ("12",)
 
 
 def test_word_of_repeated_comparator_is_cycle():
-    assert word_of(Network.make(2, [[(1, 2)], [(1, 2)]])) == "12c"
+    assert sentence_of(Network.make(2, [[(1, 2)], [(1, 2)]])) == ("12c",)
 
 
 def test_word_of_second_layer_only_comparator():
     # equivalent to the single first-layer comparator, and classed with it
-    assert word_of(Network.make(2, [[], [(1, 2)]])) == "12"
+    assert sentence_of(Network.make(2, [[], [(1, 2)]])) == ("12",)
 
 
 def test_word_of_head_is_read_from_its_free_end():
     # the free channel 3 starts the word although channel 1 is the other end
-    assert word_of(Network.make(3, [[(1, 2)], [(2, 3)]])) == "012"
-
-
-def test_word_of_rejects_disconnected():
-    with pytest.raises(ValueError):
-        word_of(Network.make(4, [[(1, 2), (3, 4)], []]))
+    assert sentence_of(Network.make(3, [[(1, 2)], [(2, 3)]])) == ("012",)
 
 
 def test_sentence_of_four_shape_example():
