@@ -23,6 +23,7 @@ from sortnetsat.words import (
     count_prefixes,
     format_sentence,
     generate_prefixes,
+    parse_sentence,
 )
 
 
@@ -37,7 +38,7 @@ def _encode_options(args: argparse.Namespace) -> EncodeOptions:
         sigma1=not args.no_sigma1,
         sigma2=not args.no_sigma2,
         sigma3=not args.no_sigma3,
-    ).with_prefix(args.prefix)
+    ).with_prefix(parse_sentence(args.prefix) if args.prefix else None)
 
 
 def _add_encode_flags(p: argparse.ArgumentParser) -> None:

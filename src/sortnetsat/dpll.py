@@ -5,6 +5,11 @@ first unassigned variable, false first.  Comparator-placement variables carry
 the lowest ids in our encodings, so this effectively enumerates candidate
 networks and lets propagation fill in the rest.  Adequate for small instances; anything
 serious should go through an external CDCL solver.
+
+Values and watch lists are indexed by the literal itself (2 * num_vars + 1
+entries, a negative literal counting from the end), as the tables of
+``CnfFormula.runs`` are.  Every conflict goes to one backtrack point, which
+unwinds the trail once.
 """
 
 from __future__ import annotations
@@ -18,121 +23,88 @@ def solve_clauses(
     clauses: Iterable[tuple[int, ...]],
     deadline: float | None = None,
 ) -> tuple[str, dict[int, bool] | None]:
-    """Returns ("SAT", model) / ("UNSAT", None) / ("UNKNOWN", None)."""
-    values = [0] * (num_vars + 1)  # 0 unknown, 1 true, -1 false
+    """Returns ("SAT", model) / ("UNSAT", None) / ("UNKNOWN", None).  A
+    literal beyond num_vars raises ValueError."""
+    vals = [0] * (2 * num_vars + 1)  # 1 true, -1 false, 0 unassigned
+    watches: list[list[list[int]]] = [[] for _ in vals]  # the clauses watching each literal
     trail: list[int] = []
-    # watch lists indexed by encoded literal
-    nlits = 2 * (num_vars + 1)
-    watches: list[list[int]] = [[] for _ in range(nlits)]
-    db: list[list[int]] = []
-    units: list[int] = []
-
-    def idx(lit: int) -> int:
-        return (lit << 1) if lit > 0 else ((-lit << 1) | 1)
-
-    for raw in clauses:
-        lits = []
-        seen = set()
-        taut = False
-        for l in raw:
-            if -l in seen:
-                taut = True
-                break
-            if l not in seen:
-                seen.add(l)
-                lits.append(l)
-        if taut:
-            continue
-        if not lits:
-            return "UNSAT", None
-        if len(lits) == 1:
-            units.append(lits[0])
-            continue
-        ref = len(db)
-        db.append(lits)
-        watches[idx(lits[0])].append(ref)
-        watches[idx(lits[1])].append(ref)
-
-    def value(lit: int) -> int:
-        v = values[lit] if lit > 0 else -values[-lit]
-        return v
 
     def assign(lit: int) -> None:
-        values[abs(lit)] = 1 if lit > 0 else -1
+        vals[lit], vals[-lit] = 1, -1
         trail.append(lit)
 
-    def propagate(start: int) -> bool:
-        """Process trail from position start; returns False on conflict."""
-        qhead = start
-        while qhead < len(trail):
-            lit = trail[qhead]
-            qhead += 1
-            falsified = idx(-lit)
-            wl = watches[falsified]
+    conflict = False
+    for raw in clauses:
+        if raw and (max(raw) > num_vars or -min(raw) > num_vars):
+            raise ValueError("literal beyond num_vars")
+        lits = list(dict.fromkeys(raw))
+        if len({abs(l) for l in lits}) < len(lits):
+            continue  # a tautology
+        if len(lits) > 1:
+            watches[lits[0]].append(lits)
+            watches[lits[1]].append(lits)
+        elif not lits or vals[lits[0]] == -1:
+            conflict = True
+        elif not vals[lits[0]]:
+            assign(lits[0])
+
+    def propagate(head: int) -> bool:
+        """Process the trail from position head; returns False on conflict."""
+        while head < len(trail):
+            false_lit = -trail[head]
+            head += 1
+            watching = watches[false_lit]
             keep = []
-            bad = False
-            for pos, ref in enumerate(wl):
-                cl = db[ref]
-                # make sure the falsified literal sits at slot 1
-                if cl[0] == -lit:
+            for pos, cl in enumerate(watching):
+                # make sure the false literal sits at slot 1
+                if cl[0] == false_lit:
                     cl[0], cl[1] = cl[1], cl[0]
                 first = cl[0]
-                if value(first) == 1:
-                    keep.append(ref)
+                if vals[first] == 1:
+                    keep.append(cl)
                     continue
                 for t in range(2, len(cl)):
-                    if value(cl[t]) != -1:
+                    if vals[cl[t]] != -1:
                         cl[1], cl[t] = cl[t], cl[1]
-                        watches[idx(cl[1])].append(ref)
+                        watches[cl[1]].append(cl)
                         break
                 else:
-                    keep.append(ref)
-                    if value(first) == -1:
-                        keep.extend(wl[pos + 1 :])
-                        bad = True
-                        break
+                    keep.append(cl)
+                    if vals[first] == -1:
+                        watches[false_lit] = keep + watching[pos + 1 :]
+                        return False
                     assign(first)
-            watches[falsified] = keep
-            if bad:
-                return False
+            watches[false_lit] = keep
         return True
 
-    for u in units:
-        if value(u) == -1:
-            return "UNSAT", None
-        if value(u) == 0:
-            assign(u)
-    if not propagate(0):
-        return "UNSAT", None
-
-    decisions: list[tuple[int, int, bool]] = []  # (trail mark, lit, second try)
-    next_var = 1
-    steps = 0
+    # the trail position of each decision.  A decision tries false first, so
+    # a positive literal there is its second branch
+    marks: list[int] = []
+    next_var, steps = 1, 0
+    conflict = conflict or not propagate(0)
     while True:
-        steps += 1
-        if deadline is not None and steps % 256 == 0 and time.monotonic() > deadline:
-            return "UNKNOWN", None
-        while next_var <= num_vars and values[next_var] != 0:
-            next_var += 1
-        if next_var > num_vars:
-            return "SAT", {v: values[v] > 0 for v in range(1, num_vars + 1)}
-        lit = -next_var
-        mark = len(trail)
-        decisions.append((mark, lit, False))
-        assign(lit)
-        while not propagate(len(trail) - 1):
-            # unwind to the most recent decision still holding a second branch
-            while decisions and decisions[-1][2]:
-                mark, lit, _ = decisions.pop()
-                for undone in trail[mark:]:
-                    values[abs(undone)] = 0
-                del trail[mark:]
-            if not decisions:
+        if conflict:
+            # the one backtrack point: flip the latest decision still on its
+            # first branch, and drop the ones above it
+            while marks and trail[marks[-1]] > 0:
+                marks.pop()
+            if not marks:
                 return "UNSAT", None
-            mark, lit, _ = decisions.pop()
-            for undone in trail[mark:]:
-                values[abs(undone)] = 0
-            del trail[mark:]
-            decisions.append((mark, -lit, True))
+            lit = trail[marks[-1]]
+            for undone in trail[marks[-1] :]:
+                vals[undone] = vals[-undone] = 0
+            del trail[marks[-1] :]
             assign(-lit)
-            next_var = 1
+            # every variable below it was assigned before the decision
+            next_var = -lit
+        else:
+            steps += 1
+            if deadline is not None and steps % 256 == 0 and time.monotonic() > deadline:
+                return "UNKNOWN", None
+            while next_var <= num_vars and vals[next_var]:
+                next_var += 1
+            if next_var > num_vars:
+                return "SAT", {v: vals[v] > 0 for v in range(1, num_vars + 1)}
+            marks.append(len(trail))
+            assign(-next_var)
+        conflict = not propagate(len(trail) - 1)

@@ -39,7 +39,7 @@ from typing import Iterable, Iterator
 
 from sortnetsat import cardinality
 from sortnetsat.networks import Bits, Network, all_inputs, is_sorted_bits, unsorted_outputs
-from sortnetsat.words import Sentence, format_sentence, net_of, parse_sentence, word_channels
+from sortnetsat.words import Sentence, format_sentence, net_of, word_channels
 
 
 # Part of every catalog key.  Bump it whenever the DIMACS text of some instance
@@ -100,9 +100,9 @@ class CnfFormula:
     def clauses(self) -> _Clauses:
         return _Clauses(self)
 
-    def runs(self, table, size: int = CHUNK, checked: bool = True) -> Iterator[tuple]:
+    def runs(self, table, checked: bool = True) -> Iterator[tuple]:
         """``table[e]`` for every store entry e, in order, in runs of whole
-        clauses: a template part is one run, a plain part runs of ``size``
+        clauses: a template part is one run, a plain part runs of ``CHUNK``
         entries or a few more, since no clause is split.
 
         ``table`` is indexed by literal, as a list of 2 * num_vars + 1 entries
@@ -122,7 +122,7 @@ class CnfFormula:
                 continue
             start = 0
             while start < len(part):
-                end = part.index(0, min(start + size, len(part)) - 1) + 1
+                end = part.index(0, min(start + CHUNK, len(part)) - 1) + 1
                 entries = part[start:end]
                 if checked and (max(entries) > nv or -min(entries) > nv):
                     raise ValueError("literal beyond num_vars")
@@ -173,9 +173,7 @@ class EncodeOptions:
     sigma3: bool = True
     prefix: Sentence | None = None
 
-    def with_prefix(self, prefix: Sentence | str | None) -> "EncodeOptions":
-        if isinstance(prefix, str):
-            prefix = parse_sentence(prefix)
+    def with_prefix(self, prefix: Sentence | None) -> "EncodeOptions":
         return replace(self, prefix=prefix)
 
     def key(self) -> str:
@@ -519,10 +517,8 @@ def encode_sigma(
             formula.add(*(vm.g(k, i, i + 1) for k in range(1, d + 1)))
 
 
-def prefix_network(prefix: Sentence | str, n: int) -> Network:
+def prefix_network(prefix: Sentence, n: int) -> Network:
     """Two-layer network of the prefix, padded with free channels up to n."""
-    if isinstance(prefix, str):
-        prefix = parse_sentence(prefix)
     total = sum(word_channels(w) for w in prefix)
     if total > n:
         raise EncodingError(f"prefix covers {total} channels, instance has {n}")
@@ -531,7 +527,7 @@ def prefix_network(prefix: Sentence | str, n: int) -> Network:
     return net_of(prefix)
 
 
-def encode_prefix(vm: VarMap, formula: CnfFormula, prefix: Sentence | str) -> list[Bits]:
+def encode_prefix(vm: VarMap, formula: CnfFormula, prefix: Sentence) -> list[Bits]:
     """Pin layers 1 and 2 to the prefix network; returns the still-unsorted
     prefix outputs, the only vectors the remaining layers must handle."""
     net = prefix_network(prefix, vm.n)

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import TextIO
 
 from sortnetsat import dpll
-from sortnetsat.encoding import CHUNK, CnfFormula, VarMap
+from sortnetsat.encoding import CnfFormula, VarMap
 from sortnetsat.networks import Network
 
 SOLVER_ENV_VAR = "SORTNETSAT_SOLVER"
@@ -85,7 +85,7 @@ def write_dimacs(formula: CnfFormula, fh: TextIO) -> None:
     text = ["0\n", *(f"{v} " for v in range(1, nv + 1)), *(f"-{v} " for v in range(nv, 0, -1))]
     # num_vars is set by the encoder, not derived from the clauses, and
     # hand-built formulas reach here too: runs checks the range
-    for run in formula.runs(text, CHUNK):
+    for run in formula.runs(text):
         fh.write("".join(run))
 
 
@@ -137,7 +137,7 @@ def check_model(formula: CnfFormula, model: dict[int, bool]) -> bool:
     # truth[l] for every literal l: "1" when true, else "" (a negative l reads
     # the reversed second half); a clause's 0 reads "2"
     truth = ["2", *values, *["" if t else "1" for t in reversed(values)]]
-    for run in formula.runs(truth, CHUNK):
+    for run in formula.runs(truth):
         # a run holds whole clauses.  A clause no literal satisfies leaves
         # its 2 first in the run or right after the 2 of the clause before it
         held = "".join(run)

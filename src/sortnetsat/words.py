@@ -223,10 +223,8 @@ def _word_comparators(
     return pairs, layer2
 
 
-def net_of(sentence: Sentence | str) -> Network:
+def net_of(sentence: Sentence) -> Network:
     """Two-layer network realizing the sentence, word blocks stacked in order."""
-    if isinstance(sentence, str):
-        sentence = parse_sentence(sentence)
     layer1: list[Comparator] = []
     layer2: list[Comparator] = []
     base = 0

@@ -88,9 +88,10 @@ def test_solve_with_prefix(tmp_path, capsys):
     assert rc == 0
     assert "status: SAT" in capsys.readouterr().out
     from sortnetsat.encoding import prefix_network
+    from sortnetsat.words import parse_sentence
 
     net = Network.from_json(out.read_text())
-    fixed = prefix_network("(0,1212)", 5)
+    fixed = prefix_network(parse_sentence("(0,1212)"), 5)
     assert net.layers[:2] == fixed.layers  # the prefix really was pinned
 
 

@@ -135,7 +135,7 @@ def test_build_rejects_bad_dimensions():
     with pytest.raises(EncodingError, match="need s >= 1"):
         build_instance(4, 3, 0)
     with pytest.raises(EncodingError, match="start layer 2 needs d >= 2"):
-        build_instance(4, 1, 2, EncodeOptions().with_prefix("(1212)"))
+        build_instance(4, 1, 2, EncodeOptions().with_prefix(parse_sentence("(1212)")))
 
 
 def test_only_unsorted_drops_sorted_inputs():
@@ -176,7 +176,7 @@ def chain_entries(vm, x):
     return [e for c in f.clauses for e in (*c, 0)]
 
 
-def test_store_is_flat_and_slices_are_clause_aligned(chain_template):
+def test_store_is_flat_and_slices_are_clause_aligned(monkeypatch, chain_template):
     vm, xs, chain = chain_template
     b1, b2 = vm.block(xs[1]), vm.block(xs[2])
     f = CnfFormula(vm.num_vars)
@@ -205,7 +205,8 @@ def test_store_is_flat_and_slices_are_clause_aligned(chain_template):
         start = end + 1
     assert list(f.clauses) == clauses
     for size in range(1, 20):
-        runs = list(f.runs(identity(f.num_vars), size))
+        monkeypatch.setattr(encoding, "CHUNK", size)
+        runs = list(f.runs(identity(f.num_vars)))
         assert sum(runs, ()) == tuple(entries)
         for run in runs:
             # each run ends with a clause's 0: a template part is one run; a
@@ -213,7 +214,7 @@ def test_store_is_flat_and_slices_are_clause_aligned(chain_template):
             assert run[-1] == 0
             assert list(run) in (e1, e2) or 0 not in run[size - 1 : -1]
         assert [list(r) for r in runs if len(r) > 20] == [e1, e2, e1]
-    assert list(CnfFormula().runs([0], 4)) == [] and list(CnfFormula().clauses) == []
+    assert list(CnfFormula().runs([0])) == [] and list(CnfFormula().clauses) == []
 
 
 def test_formulas_are_equal_when_their_clauses_are(chain_template):
@@ -289,7 +290,7 @@ def test_options_key_text_is_pinned():
     # every stored catalog key has this text: a change to it orphans them
     flags = "encoder=1,redundant_sorts=1,last_layer=1,sigma1=1,sigma2=1,sigma3=1,only_unsorted=1"
     assert EncodeOptions().key() == flags + ",prefix=-"
-    prefixed = EncodeOptions().with_prefix("(0,1221,1221c)")
+    prefixed = EncodeOptions().with_prefix(parse_sentence("(0,1221,1221c)"))
     assert prefixed.key() == flags + ",prefix=(0,1221,1221c)"
     assert EncodeOptions(sigma2=False).key() == flags.replace("sigma2=1", "sigma2=0") + ",prefix=-"
 
@@ -302,7 +303,8 @@ def test_options_key_text_is_pinned():
 def test_pinned_encoder_output(
     n, d, s, prefix, options, num_vars, num_clauses, dimacs_sha, map_sha
 ):
-    formula, vm = build_instance(n, d, s, EncodeOptions(**options).with_prefix(prefix))
+    options = EncodeOptions(**options).with_prefix(parse_sentence(prefix) if prefix else None)
+    formula, vm = build_instance(n, d, s, options)
     assert (formula.num_vars, len(formula.clauses)) == (num_vars, num_clauses)
     assert hashlib.sha256(emit_dimacs(formula).encode()).hexdigest() == dimacs_sha
     if map_sha is not None:
@@ -334,7 +336,7 @@ def test_templates_match_encoding_each_input(monkeypatch, options):
     points += [(7, d, "(0,1221c)") for d in (2, 4)]
     points += [(2, 2, "(12)"), (2, 3, "(12)")]  # no prefix output is left unsorted
     for n, d, prefix in points:
-        opts = EncodeOptions(**options).with_prefix(prefix)
+        opts = EncodeOptions(**options).with_prefix(parse_sentence(prefix) if prefix else None)
         fast, fast_vm = build_instance(n, d, n + 1, opts)
         with monkeypatch.context() as m:
             m.setattr(encoding, "encode_inputs", _encode_each_input)
@@ -366,7 +368,7 @@ def _build_with_a_direct_counter(monkeypatch, n, d, s, options):
      (7, 4, 10, "(0,1221c)"), (6, 3, 7, "(0,0,12)"), (6, 3, 45, "(0,0,12)")],
 )
 def test_counter_template_matches_a_direct_build(monkeypatch, n, d, s, prefix):
-    options = EncodeOptions().with_prefix(prefix)
+    options = EncodeOptions().with_prefix(parse_sentence(prefix) if prefix else None)
     formula, vm = build_instance(n, d, s, options)
     ref, ref_vm, card = _build_with_a_direct_counter(monkeypatch, n, d, s, options)
     # s at least the number of g literals: no counter, no auxiliary
@@ -383,9 +385,9 @@ def test_instances_of_one_level_share_a_counter_template():
         return template
 
     opts = EncodeOptions()
-    a, _ = build_instance(7, 5, 14, opts.with_prefix("(0,1221c)"))
-    b, _ = build_instance(7, 5, 14, opts.with_prefix("(0,0,12,12)"))
-    c, _ = build_instance(7, 5, 13, opts.with_prefix("(0,0,12,12)"))
+    a, _ = build_instance(7, 5, 14, opts.with_prefix(parse_sentence("(0,1221c)")))
+    b, _ = build_instance(7, 5, 14, opts.with_prefix(parse_sentence("(0,0,12,12)")))
+    c, _ = build_instance(7, 5, 13, opts.with_prefix(parse_sentence("(0,0,12,12)")))
     assert counter(a) is counter(b)
     assert counter(c) is not counter(a)
     assert counter(c).num_clauses < counter(a).num_clauses
@@ -413,7 +415,7 @@ def test_map_dump_mentions_roles():
 
 
 def test_options_key_distinguishes_prefixes():
-    a = EncodeOptions().with_prefix("(012)")
+    a = EncodeOptions().with_prefix(parse_sentence("(012)"))
     b = EncodeOptions()
     assert a.key() != b.key()
 

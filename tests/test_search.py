@@ -19,7 +19,7 @@ from sortnetsat.search import (
     run_task,
 )
 from sortnetsat.solving import SAT, UNKNOWN, UNSAT, SolveOutcome, SolverConfig, solve
-from sortnetsat.words import format_sentence, generate_prefixes
+from sortnetsat.words import format_sentence, generate_prefixes, parse_sentence
 
 
 class CountingSolver:
@@ -340,7 +340,7 @@ def test_level_catalog_holds_one_line_per_solved_task_in_task_order(builtin_cfg,
     reloaded = ResultCatalog(catalog.path)
     for p, res in zip(prefixes, out.results):
         assert catalog.get(SearchTask(4, 3, 5, EncodeOptions().with_prefix(p))) is res
-        parsed = EncodeOptions().with_prefix(format_sentence(p))
+        parsed = EncodeOptions().with_prefix(parse_sentence(format_sentence(p)))
         assert reloaded.get(SearchTask(4, 3, 5, parsed)).status == res.status
 
 

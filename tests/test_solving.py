@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from sortnetsat import csolver, solving
+from sortnetsat import csolver, encoding, solving
 from sortnetsat.dpll import solve_clauses
 from sortnetsat.encoding import CnfFormula, EncodeOptions, build_instance
 from sortnetsat.networks import is_sorting_network
@@ -28,6 +28,7 @@ from sortnetsat.solving import (
     solve,
     write_dimacs,
 )
+from sortnetsat.words import parse_sentence
 
 
 def formula(num_vars, clauses):
@@ -79,10 +80,11 @@ def _written(f):
     return out.getvalue()
 
 
-def _run_sizes(f, size):
-    """The lengths of the runs ``write_dimacs`` and ``check_model`` read."""
+def _run_sizes(f):
+    """The lengths of the runs ``write_dimacs`` and ``check_model`` read, at
+    the current ``encoding.CHUNK``."""
     table = list(range(f.num_vars + 1)) + list(range(-f.num_vars, 0))
-    return [len(r) for r in f.runs(table, size, checked=False)]
+    return [len(r) for r in f.runs(table, checked=False)]
 
 
 def _templated(vm, xs, chain, num_vars):
@@ -101,31 +103,31 @@ def _templated(vm, xs, chain, num_vars):
 def test_write_dimacs_matches_reference_across_chunks(monkeypatch, chain_template):
     vm, xs, chain = chain_template
     for size in (1, 2, 3, 7):
-        monkeypatch.setattr(solving, "CHUNK", size)
+        monkeypatch.setattr(encoding, "CHUNK", size)
         assert _written(CnfFormula(5)) == _reference_dimacs(CnfFormula(5))
         for f in _random_formulas():
             assert _written(f) == _reference_dimacs(f)
         # template applications straddle the run size
         f = _templated(vm, xs, chain, vm.num_vars)
-        assert max(_run_sizes(f, size)) > 100
+        assert max(_run_sizes(f)) > 100
         assert _written(f) == _reference_dimacs(f)
-    monkeypatch.setattr(solving, "CHUNK", 3)
+    monkeypatch.setattr(encoding, "CHUNK", 3)
     # the later slices hold longer clauses than the first; the last clause is
     # longer than a whole slice
     f = formula(9, [(1,), (-2,), (3,), (1, 2), (-4, 5, 6), (7, -8, 9, 1, 2)])
-    assert _run_sizes(f, 3) == [4, 5, 4, 6]
+    assert _run_sizes(f) == [4, 5, 4, 6]
     assert _written(f) == _reference_dimacs(f)
 
 
 def test_write_dimacs_checks_the_last_chunk(monkeypatch):
-    monkeypatch.setattr(solving, "CHUNK", 2)
+    monkeypatch.setattr(encoding, "CHUNK", 2)
     f = formula(3, [(1, 2), (3,), (-1, -3), (2,), (-4, 1)])
     with pytest.raises(ValueError):
         _written(f)
     # the slices before the one holding the literal are written by then
     for clauses in ([(1,), (-2, 3), (3, 2, 1, -1, -2, 4)], [(1,), (-2, 3), (4, 2, 1, -1, -2, 3)]):
         f = formula(3, clauses)
-        assert _run_sizes(f, 2) == [2, 3, 7]  # the last is longer than a slice
+        assert _run_sizes(f) == [2, 3, 7]  # the last is longer than a slice
         out = io.StringIO()
         with pytest.raises(ValueError, match="literal beyond num_vars"):
             write_dimacs(f, out)
@@ -162,24 +164,24 @@ def test_check_model_scans_every_clause(monkeypatch, chain_template):
     assert check_model(CnfFormula(2), {})
     # two slices, (1, 2) (-1, 3) and (2, -3) (-2, -3): each model breaks one
     # clause only, the first or the last of a slice
-    monkeypatch.setattr(solving, "CHUNK", 5)
-    assert _run_sizes(f, 5) == [6, 6]
+    monkeypatch.setattr(encoding, "CHUNK", 5)
+    assert _run_sizes(f) == [6, 6]
     assert not check_model(f, {1: False, 2: False, 3: False})  # first of the first
     assert not check_model(f, {1: True, 2: True, 3: False})  # last of the first
     assert not check_model(f, {1: True, 2: False, 3: True})  # first of the second
     assert not check_model(f, {1: True, 2: True, 3: True})  # last of the second
     assert check_model(f, {1: False, 2: True, 3: False})
     # a clause longer than a whole slice is read to its end
-    monkeypatch.setattr(solving, "CHUNK", 3)
+    monkeypatch.setattr(encoding, "CHUNK", 3)
     f = formula(6, [(1, 2, 3, 4, 5, 6), (-1, -2)])
-    assert _run_sizes(f, 3) == [7, 3]
+    assert _run_sizes(f) == [7, 3]
     assert not check_model(f, {})
     assert check_model(f, {6: True})
     assert not check_model(f, {1: True, 2: True})
     # against a clause-by-clause reference, at several slice sizes
     rng = random.Random(5)
     for size in (1, 2, 3, 7):
-        monkeypatch.setattr(solving, "CHUNK", size)
+        monkeypatch.setattr(encoding, "CHUNK", size)
         for f in _random_formulas():
             for _ in range(5):
                 model = {v: rng.random() < 0.7 for v in range(1, f.num_vars + 1)}
@@ -196,7 +198,7 @@ def test_check_model_scans_every_clause(monkeypatch, chain_template):
         for k, i in ((1, 2), (2, 2), (2, 3)):
             model = {vm.v(x, later, i): True for later in range(k, 3)}
             for size in (1, 3, 7, 1 << 15):
-                monkeypatch.setattr(solving, "CHUNK", size)
+                monkeypatch.setattr(encoding, "CHUNK", size)
                 assert not check_model(f, model) and not _satisfies(f, model), (x, k, i)
     # and a broken clause of a plain part, before or after them, still shows
     assert not check_model(f, {2: False, 1: True}) and not check_model(f, {6: True})
@@ -374,6 +376,41 @@ def test_dpll_direct():
     assert solve_clauses(2, [(1,), (-1, 2), (-2, -1)])[0] == UNSAT
 
 
+@pytest.mark.parametrize("clauses", [[(2,)], [(-2,)], [(1, 2)], [(2, -2)]])
+def test_dpll_rejects_literal_beyond_num_vars(clauses):
+    with pytest.raises(ValueError, match="literal beyond num_vars"):
+        solve_clauses(1, clauses)
+
+
+def test_builtin_search_is_pinned():
+    """The builtin DPLL's answers on 300 random CNFs and five encoder
+    instances, pinned by one sha256 over each answer's status and true
+    variables.  The random CNFs hold empty clauses, repeated literals and
+    tautologies.  A rewrite that keeps the search (first unassigned variable,
+    false first, chronological backtracking) keeps this digest."""
+
+    def corpus():
+        rng = random.Random(20)
+        for _ in range(300):
+            nv = rng.randint(0, 30)
+            clauses = [
+                tuple(rng.choice([-1, 1]) * rng.randint(1, nv)
+                      for _ in range(rng.choices(range(6), (1, 20, 40, 80, 40, 20))[0]))
+                for _ in range(rng.randint(0, 5 * nv))
+            ]
+            yield nv, clauses
+        for n, d, s in [(4, 3, 5), (4, 3, 4), (4, 2, 5), (5, 5, 9), (5, 4, 9)]:
+            f, _ = build_instance(n, d, s)
+            yield f.num_vars, f.clauses
+
+    digest = hashlib.sha256()
+    for nv, clauses in corpus():
+        status, model = solve_clauses(nv, clauses)
+        true = sorted(v for v, value in (model or {}).items() if value)
+        digest.update(f"{status} {true}\n".encode())
+    assert digest.hexdigest() == "0dac38b55204521dc7c38b81aab4e4a73a2c01910f5ade614d4ee75438124ee7"
+
+
 def test_default_config_honours_environment(monkeypatch):
     from sortnetsat.solving import SOLVER_ENV_VAR, default_config
 
@@ -432,7 +469,7 @@ def test_solver_binary_name_hashes_the_compile_flags(tmp_path, monkeypatch):
 @needs_cc
 def test_solver_source_compiles_without_warnings(tmp_path):
     cmd = [csolver.compiler(), "-std=c99", "-O2", "-Wall", "-Wextra", "-Werror",
-           "-o", str(tmp_path / "minicdcl"), str(csolver._SOURCE), "-lm"]
+           "-o", str(tmp_path / "minicdcl"), str(csolver._SOURCE)]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
@@ -458,7 +495,8 @@ def test_bundled_solver_search_is_pinned(bundled_solver, tmp_path):
     names = ("conflicts", "decisions", "propagations", "learnts", "restarts")
     cnf = tmp_path / "instance.cnf"
     for (n, d, s, prefix), counters, answer, model_sha in cases:
-        f, _ = build_instance(n, d, s, EncodeOptions().with_prefix(prefix))
+        options = EncodeOptions().with_prefix(parse_sentence(prefix) if prefix else None)
+        f, _ = build_instance(n, d, s, options)
         with cnf.open("w") as fh:
             write_dimacs(f, fh)
         lines = _run_bundled(bundled_solver, cnf).stdout.splitlines()
@@ -545,7 +583,7 @@ def test_bundled_solver_is_clean_under_sanitizers(bundled_solver, tmp_path):
     nothing at exit."""
     binary = tmp_path / "minicdcl-asan"
     cmd = [csolver.compiler(), "-std=c99", "-O1", "-g", "-fsanitize=address,undefined",
-           "-fno-omit-frame-pointer", "-o", str(binary), str(csolver._SOURCE), "-lm"]
+           "-fno-omit-frame-pointer", "-o", str(binary), str(csolver._SOURCE)]
     if subprocess.run(cmd, capture_output=True, timeout=120).returncode != 0:
         pytest.skip("the compiler cannot build with -fsanitize=address,undefined")
     texts = [case.values[0] for case in READ_CASES + MALFORMED_CASES]

@@ -127,7 +127,7 @@ def test_sentence_of_rejects_deep_networks():
 
 
 def test_net_of_head_word():
-    assert net_of("(012)").layers == (((2, 3),), ((1, 3),))
+    assert net_of(parse_sentence("(012)")).layers == (((2, 3),), ((1, 3),))
 
 
 def test_net_of_tail_word():
@@ -136,7 +136,7 @@ def test_net_of_tail_word():
 
 def test_net_of_rejects_malformed():
     with pytest.raises(WordError):
-        net_of("(01,21)")
+        net_of(("01", "21"))
 
 
 def test_net_of_reconstructs_four_shape_network():
