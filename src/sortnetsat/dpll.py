@@ -24,7 +24,7 @@ def solve_clauses(
     deadline: float | None = None,
 ) -> tuple[str, dict[int, bool] | None]:
     """Returns ("SAT", model) / ("UNSAT", None) / ("UNKNOWN", None).  A
-    literal beyond num_vars raises ValueError."""
+    literal beyond num_vars, or a 0 inside a clause, raises ValueError."""
     vals = [0] * (2 * num_vars + 1)  # 1 true, -1 false, 0 unassigned
     watches: list[list[list[int]]] = [[] for _ in vals]  # the clauses watching each literal
     trail: list[int] = []
@@ -37,6 +37,8 @@ def solve_clauses(
     for raw in clauses:
         if raw and (max(raw) > num_vars or -min(raw) > num_vars):
             raise ValueError("literal beyond num_vars")
+        if 0 in raw:
+            raise ValueError("0 inside a clause: it ends a DIMACS clause, it is no literal")
         lits = list(dict.fromkeys(raw))
         if len({abs(l) for l in lits}) < len(lits):
             continue  # a tautology

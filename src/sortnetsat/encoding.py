@@ -11,14 +11,16 @@ Every input's value chain is one contiguous block of ids, so the clauses of
 one input are those of any other with the block shifted.  ``encode_inputs``
 therefore encodes clause by clause only the first input, and the first input
 with each window, and copies every later input's clauses from templates
-derived from those calls.  The output is the same as encoding each input in
-turn; ``ENCODER_VERSION`` names it.
+derived from the second input that needs each.  The output is the same as
+encoding each input in turn; ``ENCODER_VERSION`` names it.
 
 The cardinality network, last in every formula, is a template too.  It
 depends only on the g literals, which (n, d) fixes, and on s, and its
 auxiliaries are one block of ids.  So each process builds it once per
 (n, d, s) (``_counter_template``, a small bounded cache), and every instance
-at that level applies it to the block of ids it reserves for them.
+at that level applies it to the block of ids it reserves for them.  The
+layer-independence clauses, first in every formula, name only g literals:
+they are one template per (n, d) (``_valid_template``), over no block.
 
 A formula keeps those copies as references: its store (``CnfFormula``)
 holds, in DIMACS order, plain lists of literals, each clause ended by a 0,
@@ -417,9 +419,9 @@ class _Template:
     def of(cls, vm: VarMap, encode, x: Bits) -> _Template:
         """The clauses ``encode(vm, formula, x)`` writes, over x's value chain.
 
-        ``encode`` must already have run for x, so that every auxiliary it
-        names exists: the call made here then writes x's own clauses and no
-        definitions."""
+        Every auxiliary it names for x must already exist, from an earlier
+        call for an input that names the same ones: the call made here then
+        writes x's own clauses and no definitions."""
         scratch = CnfFormula()
         encode(vm, scratch, x)
         (entries,) = scratch.parts  # only ``add`` wrote to it: one plain part
@@ -435,28 +437,31 @@ def encode_inputs(
 
     Only the first input, and the first input with each window, go through
     those functions, which allocate the auxiliaries in order and write their
-    definitions.  Every later input copies its clauses from the templates
-    those calls leave, so the output is the same as encoding each in turn.
+    definitions.  Every later input copies its clauses from templates, each
+    derived from the second input that needs it, so the output is the same as
+    encoding each in turn, and no template is built that is not applied.
     """
     for x in inputs:
         vm.register_input(x)  # keep all value chains ahead of the auxiliaries
     chain = None
-    windows: dict[tuple[int, int], _Template] = {}
-    for x in inputs:
-        if chain is None:
+    # the template of each window seen, None until a second input has it
+    windows: dict[tuple[int, int], _Template | None] = {}
+    for at, x in enumerate(inputs):
+        if at == 0:
             encode_sorts(vm, formula, x)
-            chain = _Template.of(vm, _encode_chain, x)
         else:
+            chain = chain or _Template.of(vm, _encode_chain, x)
             encode_units(vm, formula, x, vm.start_layer, x)
             formula.add_template(chain, vm.block(x))
             encode_units(vm, formula, x, vm.d, tuple(sorted(x)))
         if redundant_sorts:
             key = window_of(x)
-            if key in windows:
-                formula.add_template(windows[key], vm.block(x))
-            else:
+            if key not in windows:
+                windows[key] = None
                 encode_redundant_sorts(vm, formula, x)
-                windows[key] = _Template.of(vm, encode_redundant_sorts, x)
+                continue
+            windows[key] = windows[key] or _Template.of(vm, encode_redundant_sorts, x)
+            formula.add_template(windows[key], vm.block(x))
 
 
 def encode_last_layers(vm: VarMap, formula: CnfFormula) -> None:
@@ -540,9 +545,22 @@ def encode_prefix(vm: VarMap, formula: CnfFormula, prefix: Sentence) -> list[Bit
     return sorted(unsorted_outputs(net))
 
 
-# counter templates ``_counter_template`` keeps; a level, and each step of
-# ``optimize``, builds its instances at one (n, d, s)
+# counter templates ``_counter_template`` keeps per process (and layer
+# templates ``_valid_template``).  A level builds its instances at one
+# (n, d, s), and a worker of ``optimize`` lives through all its levels, so it
+# reuses the template of every level it revisits
 COUNTER_TEMPLATES = 8
+
+
+@lru_cache(maxsize=COUNTER_TEMPLATES)
+def _valid_template(n: int, d: int) -> _Template:
+    """The clauses of ``encode_valid`` for an (n, d) VarMap, as a template
+    over no block: they name only g literals, which every such VarMap
+    numbers alike."""
+    scratch = CnfFormula()
+    encode_valid(VarMap(n, d), scratch)
+    (entries,) = scratch.parts
+    return _Template(entries, range(0))
 
 
 @lru_cache(maxsize=COUNTER_TEMPLATES)
@@ -576,7 +594,7 @@ def build_instance(
     options = options or EncodeOptions()
     vm = VarMap(n, d, start_layer=2 if options.prefix is not None else 0)
     formula = CnfFormula()
-    encode_valid(vm, formula)
+    formula.add_template(_valid_template(n, d), range(0))
     if options.prefix is not None:
         inputs = encode_prefix(vm, formula, options.prefix)
     else:

@@ -18,15 +18,19 @@ import json
 import os
 import time
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from sortnetsat.encoding import EncodeOptions, build_instance
 from sortnetsat.networks import Network, is_sorting_network
 from sortnetsat.solving import SAT, UNKNOWN, UNSAT, SolveOutcome, SolverConfig, decode_network, solve
 from sortnetsat.words import Sentence, format_sentence, generate_prefixes, parse_sentence
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 
 @dataclass(frozen=True)
@@ -305,6 +309,24 @@ class OptimalityClaim:
         )
 
 
+def _worker_pool(jobs: int) -> Executor:
+    """A pool of ``jobs`` worker processes for ``run_level``; ValueError when
+    ``jobs`` is below 1.  Its workers are forked at its first submit, and
+    ``shutdown`` (the end of its ``with`` block) joins them.
+
+    Fork, not spawn: a spawned worker re-imports the package, about 0.13 s of
+    CPU each on a 2-vCPU machine against under 0.01 s for a forked one.  The
+    workers are forked before the pool starts its own thread."""
+    # imported here, so that commands that run no level (``solve``,
+    # ``encode``) do not pay for importing the process-pool machinery
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return ProcessPoolExecutor(jobs, mp_context=get_context("fork"))
+
+
 def run_level(
     n: int,
     d: int,
@@ -316,10 +338,17 @@ def run_level(
     jobs: int = 1,
     stop_on_sat: bool = True,
     on_result: Callable[[SearchResult], None] | None = None,
+    pool: Executor | None = None,
 ) -> LevelOutcome:
     """Solve (n, d, s) with the default encoding once per prefix (once without
     a prefix when ``prefixes`` is None) in ``jobs`` worker processes;
     ValueError when ``jobs`` is below 1.
+
+    The workers are those of ``pool``, an executor of worker processes that
+    the caller shuts down (``optimize`` gives every level of its run one
+    pool, so that per-process caches such as the counter templates stay
+    warm), or else of a pool of ``jobs`` workers that this call opens and
+    shuts down, reaping its workers, before it returns or raises.
 
     The calling process answers what it can from ``catalog`` (see
     ``cached_result``) and sends the other tasks to the workers, which encode,
@@ -327,16 +356,11 @@ def run_level(
     catalog, one record per solved or derived answer in task order.  With
     ``stop_on_sat`` the tasks run in consecutive batches of ``jobs`` and the
     level stops after the first batch that holds a SAT, so which tasks get
-    solved does not depend on timing; without it every task is solved.  ``on_result`` sees
-    each result in the calling thread, in task order.  ``solve_fn`` is sent to
-    the workers, so it must be picklable: a module-level function or an
-    instance of a module-level class.
+    solved does not depend on timing; without it every task is solved.
+    ``on_result`` sees each result in the calling thread, in task order.
+    ``solve_fn`` is sent to the workers, so it must be picklable: a
+    module-level function or an instance of a module-level class.
     """
-    # imported here, so that commands that run no level (``solve``,
-    # ``encode``) do not pay for importing the process-pool machinery
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     config = config or SolverConfig()
@@ -346,18 +370,12 @@ def run_level(
     ]
     batch = jobs if stop_on_sat else max(len(tasks), 1)
     results: list[SearchResult] = []
-    # fork, not spawn: a spawned worker re-imports the package, about 0.13 s
-    # of CPU each on a 2-vCPU machine against under 0.01 s for a forked one,
-    # and optimize runs many short levels.  The workers are forked at the
-    # first submit, before the pool starts its own thread.  The pool lives for
-    # one level, so its workers (and their solver processes) are reaped when
-    # the level ends.
-    with ProcessPoolExecutor(jobs, mp_context=get_context("fork")) as pool:
+    with nullcontext(pool) if pool is not None else _worker_pool(jobs) as workers:
         for start in range(0, len(tasks), batch):
             chunk = tasks[start:start + batch]
             hits = [cached_result(t, catalog) for t in chunk]
             misses = [t for t, hit in zip(chunk, hits) if hit is None]
-            solved = pool.map(run_task, misses, repeat(None), repeat(solve_fn))
+            solved = workers.map(run_task, misses, repeat(None), repeat(solve_fn))
             for hit in hits:
                 res = hit if hit is not None else next(solved)
                 if catalog is not None:
@@ -404,40 +422,52 @@ def optimize(
 
     A prefix pins two layers, so levels of depth 1 run without prefixes.
     Without a ``catalog`` the answers are kept in memory, so that later
-    levels still reuse them.
+    levels still reuse them.  Every level runs in one pool of ``jobs`` worker
+    processes, which is shut down and its workers reaped before this returns
+    or raises.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    pool = _prefix_pool(n, prefixes)
+    prefix_pool = _prefix_pool(n, prefixes)
     if catalog is None:
         catalog = ResultCatalog(None)
 
-    def level(d: int, s: int, stop_on_sat: bool = True) -> LevelOutcome:
-        prefixes = pool if d >= 2 else None
-        return run_level(n, d, s, prefixes, config, catalog, solve_fn, jobs, stop_on_sat)
+    with _worker_pool(jobs) as workers:
 
-    if mode == "min_size_given_depth":
-        if depth is None:
-            raise ValueError("min_size_given_depth needs depth=")
-        return _min_size_at_depth(n, depth, level)
-    if mode == "min_depth_given_size":
-        if size is None:
-            raise ValueError("min_depth_given_size needs size=")
-        return _min_depth_at_size(n, size, level)
-    if mode == "pareto":
-        return _pareto(n, level)
-    raise ValueError(f"unknown mode {mode!r}")
+        def level(d: int, s: int, stop_on_sat: bool = True) -> LevelOutcome:
+            prefixes = prefix_pool if d >= 2 else None
+            return run_level(n, d, s, prefixes, config, catalog, solve_fn, jobs, stop_on_sat,
+                             pool=workers)
+
+        if mode == "min_size_given_depth":
+            if depth is None:
+                raise ValueError("min_size_given_depth needs depth=")
+            return _min_size_at_depth(n, depth, level)
+        if mode == "min_depth_given_size":
+            if size is None:
+                raise ValueError("min_depth_given_size needs size=")
+            return _min_depth_at_size(n, size, level)
+        if mode == "pareto":
+            return _pareto(n, level)
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 def _min_size_at_depth(n: int, d: int, level) -> OptimalityClaim:
     claim = OptimalityClaim(n, "min_size_given_depth", d, None, False)
     s = max_size(n, d)
     best: int | None = None  # size of the smallest witness found so far
+    final: LevelOutcome | None = None  # the last SAT level
     while s >= 1:
         out = level(d, s)
+        if out.status == SAT and _smallest(out) == s:
+            # a tight level, which may be the optimal one: solve every task,
+            # so that it holds every witness prefix, and so that the level
+            # below solves only the prefixes SAT here (the catalog settles the
+            # others)
+            out = level(d, s, stop_on_sat=False)
         claim.evidence.extend(out.results)
         if out.status == SAT:
-            best = min(r.network.size for r in out.witnesses())
+            best, final = _smallest(out), out
             s = best - 1
         elif out.status == UNSAT:
             if best is None:
@@ -450,14 +480,20 @@ def _min_size_at_depth(n: int, d: int, level) -> OptimalityClaim:
             claim.value = best
             return claim
     if best is not None:
-        # rerun the optimal level without short-circuiting so every witness
-        # prefix is identified
-        final = level(d, best, stop_on_sat=False)
-        claim.evidence.extend(final.results)
+        if final.s != best:
+            # the optimal level was never run: run it without short-circuiting
+            # so that every witness prefix is identified
+            final = level(d, best, stop_on_sat=False)
+            claim.evidence.extend(final.results)
         claim.value = best
         claim.witnesses = final.witnesses()
         claim.proven = True
     return claim
+
+
+def _smallest(out: LevelOutcome) -> int:
+    """The size of the smallest witness of a SAT level."""
+    return min(r.network.size for r in out.witnesses())
 
 
 def _min_depth_at_size(n: int, s: int, level) -> OptimalityClaim:

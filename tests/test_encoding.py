@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -334,9 +335,16 @@ def test_templates_match_encoding_each_input(monkeypatch, options):
     points = [(n, d, None) for n in (2, 3, 5, 6) for d in (1, 2, 4)]
     points += [(6, d, "(0,0,12)") for d in (2, 3, 5)]
     points += [(7, d, "(0,1221c)") for d in (2, 4)]
+    # some windows of these occur once, others repeat: a window's template is
+    # built from its second input, and never for a window seen once
+    points += [(7, d, p) for d in (3, 6) for p in ("(012,2112)", "(0122112)")]
     points += [(2, 2, "(12)"), (2, 3, "(12)")]  # no prefix output is left unsorted
     for n, d, prefix in points:
         opts = EncodeOptions(**options).with_prefix(parse_sentence(prefix) if prefix else None)
+        if n == 7 and d != 2:
+            inputs = encode_prefix(VarMap(n, d, 2), CnfFormula(), opts.prefix)
+            counts = set(Counter(map(window_of, inputs)).values())
+            assert 1 in counts and max(counts) > 1, prefix
         fast, fast_vm = build_instance(n, d, n + 1, opts)
         with monkeypatch.context() as m:
             m.setattr(encoding, "encode_inputs", _encode_each_input)
@@ -344,6 +352,11 @@ def test_templates_match_encoding_each_input(monkeypatch, options):
         assert fast.num_vars == ref.num_vars, (n, d, prefix)
         assert fast == ref, (n, d, prefix)
         assert fast_vm.dump_map() == ref_vm.dump_map(), (n, d, prefix)
+        # the layer-independence template reads back encode_valid's clauses
+        valid, ref_valid = CnfFormula(fast.num_vars), CnfFormula(fast.num_vars)
+        valid.add_template(encoding._valid_template(n, d), range(0))
+        encode_valid(VarMap(n, d), ref_valid)
+        assert valid == ref_valid, (n, d)
 
 
 def _build_with_a_direct_counter(monkeypatch, n, d, s, options):

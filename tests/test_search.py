@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import os
 import threading
 import warnings
 from pathlib import Path
@@ -23,8 +24,9 @@ from sortnetsat.words import format_sentence, generate_prefixes, parse_sentence
 
 
 class CountingSolver:
-    """Counts its calls in a file, one line per call, so that the calls made
-    in the level runner's worker processes count too."""
+    """Counts its calls in a file, one line per call holding the caller's
+    pid, so that the calls made in the level runner's worker processes count
+    too."""
 
     def __init__(self, path):
         self.path = Path(path)
@@ -36,7 +38,7 @@ class CountingSolver:
 
     def __call__(self, formula, config):
         with self.path.open("a") as fh:
-            fh.write("call\n")
+            fh.write(f"{os.getpid()}\n")
         return solve(formula, config)
 
 
@@ -238,6 +240,49 @@ def test_pareto_solver_calls(request, tmp_path, n, prefixes, cfg, calls):
     config = request.getfixturevalue(cfg)
     claim = optimize(n, "pareto", config=config, prefixes=prefixes, solve_fn=counter)
     assert claim.proven and counter.calls == calls
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_prefixed_descent_solves_each_level_once(external_cfg, tmp_path, jobs):
+    # 14 solves at s=18, 17 at s=16, the 6 that complete the tight level s=16,
+    # then at s=15 only the 3 prefixes SAT at 16: the catalog refutes the
+    # other 33, and s=16 needs no rerun
+    counter = CountingSolver(tmp_path / "calls")
+    catalog = ResultCatalog(tmp_path / "catalog.jsonl")
+    claim = optimize(7, "min_size_given_depth", depth=6, config=external_cfg,
+                     prefixes="tprime", catalog=catalog, solve_fn=counter, jobs=jobs)
+    assert claim.summary() == "n=7 min_size_given_depth(6) = 16 [proven]"
+    assert counter.calls == 40
+    assert [format_sentence(r.prefix) for r in claim.witnesses] == [
+        "(012,1221c)", "(012,2112)", "(0122112)"]
+    records = [json.loads(line) for line in catalog.path.read_text().splitlines()]
+    below = [r["status"] for r in records if (r["d"], r["s"]) == (6, 15)]
+    assert below == [UNSAT] * len(generate_prefixes(7, "T'").sentences)
+
+
+class FailingSolver:
+    def __call__(self, formula, config):
+        raise RuntimeError("solver failed")
+
+
+def test_optimize_runs_every_level_in_one_pool_and_reaps_it(builtin_cfg, tmp_path):
+    for jobs in (1, 2):
+        counter = CountingSolver(tmp_path / f"calls{jobs}")
+        claim = optimize(4, "min_size_given_depth", depth=3, config=builtin_cfg,
+                         prefixes="tprime", solve_fn=counter, jobs=jobs)
+        assert claim.proven and len({r.s for r in claim.evidence}) > 1
+        assert 1 <= len(set(counter.path.read_text().split())) <= jobs
+        assert multiprocessing.active_children() == []
+    with pytest.raises(RuntimeError, match="solver failed"):
+        optimize(4, "pareto", config=builtin_cfg, prefixes="tprime", solve_fn=FailingSolver(),
+                 jobs=2)
+    assert multiprocessing.active_children() == []
+    # a level run on its own opens its own pool and closes it
+    run_level(4, 3, 5, None, config=builtin_cfg, jobs=2)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(RuntimeError, match="solver failed"):
+        run_level(4, 3, 5, None, config=builtin_cfg, solve_fn=FailingSolver(), jobs=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_optimize_infeasible_depth(builtin_cfg):

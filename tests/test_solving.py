@@ -382,6 +382,13 @@ def test_dpll_rejects_literal_beyond_num_vars(clauses):
         solve_clauses(1, clauses)
 
 
+@pytest.mark.parametrize("num_vars, clauses", [(1, [(0,)]), (2, [(1, 0, 2)])])
+def test_dpll_rejects_a_zero_inside_a_clause(num_vars, clauses):
+    # 0 ends a DIMACS clause; taken as a literal it was read as unassigned
+    with pytest.raises(ValueError, match="0 inside a clause"):
+        solve_clauses(num_vars, clauses)
+
+
 def test_builtin_search_is_pinned():
     """The builtin DPLL's answers on 300 random CNFs and five encoder
     instances, pinned by one sha256 over each answer's status and true
