@@ -18,9 +18,7 @@ The cardinality network, last in every formula, is a template too.  It
 depends only on the g literals, which (n, d) fixes, and on s, and its
 auxiliaries are one block of ids.  So each process builds it once per
 (n, d, s) (``_counter_template``, a small bounded cache), and every instance
-at that level applies it to the block of ids it reserves for them.  The
-layer-independence clauses, first in every formula, name only g literals:
-they are one template per (n, d) (``_valid_template``), over no block.
+at that level applies it to the block of ids it reserves for them.
 
 A formula keeps those copies as references: its store (``CnfFormula``)
 holds, in DIMACS order, plain lists of literals, each clause ended by a 0,
@@ -545,22 +543,10 @@ def encode_prefix(vm: VarMap, formula: CnfFormula, prefix: Sentence) -> list[Bit
     return sorted(unsorted_outputs(net))
 
 
-# counter templates ``_counter_template`` keeps per process (and layer
-# templates ``_valid_template``).  A level builds its instances at one
-# (n, d, s), and a worker of ``optimize`` lives through all its levels, so it
-# reuses the template of every level it revisits
+# counter templates ``_counter_template`` keeps per process.  A level builds
+# its instances at one (n, d, s), and a worker of ``optimize`` lives through
+# all its levels, so it reuses the template of every level it revisits
 COUNTER_TEMPLATES = 8
-
-
-@lru_cache(maxsize=COUNTER_TEMPLATES)
-def _valid_template(n: int, d: int) -> _Template:
-    """The clauses of ``encode_valid`` for an (n, d) VarMap, as a template
-    over no block: they name only g literals, which every such VarMap
-    numbers alike."""
-    scratch = CnfFormula()
-    encode_valid(VarMap(n, d), scratch)
-    (entries,) = scratch.parts
-    return _Template(entries, range(0))
 
 
 @lru_cache(maxsize=COUNTER_TEMPLATES)
@@ -594,7 +580,7 @@ def build_instance(
     options = options or EncodeOptions()
     vm = VarMap(n, d, start_layer=2 if options.prefix is not None else 0)
     formula = CnfFormula()
-    formula.add_template(_valid_template(n, d), range(0))
+    encode_valid(vm, formula)
     if options.prefix is not None:
         inputs = encode_prefix(vm, formula, options.prefix)
     else:

@@ -18,7 +18,6 @@ import json
 import os
 import time
 import warnings
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -310,9 +309,10 @@ class OptimalityClaim:
 
 
 def _worker_pool(jobs: int) -> Executor:
-    """A pool of ``jobs`` worker processes for ``run_level``; ValueError when
-    ``jobs`` is below 1.  Its workers are forked at its first submit, and
-    ``shutdown`` (the end of its ``with`` block) joins them.
+    """A pool of ``jobs`` worker processes for the levels of one
+    ``run_level`` or ``optimize`` call; ValueError when ``jobs`` is below 1.
+    Its workers are forked at its first submit, and ``shutdown`` (the end of
+    its ``with`` block) joins them.
 
     Fork, not spawn: a spawned worker re-imports the package, about 0.13 s of
     CPU each on a 2-vCPU machine against under 0.01 s for a forked one.  The
@@ -338,17 +338,11 @@ def run_level(
     jobs: int = 1,
     stop_on_sat: bool = True,
     on_result: Callable[[SearchResult], None] | None = None,
-    pool: Executor | None = None,
 ) -> LevelOutcome:
     """Solve (n, d, s) with the default encoding once per prefix (once without
     a prefix when ``prefixes`` is None) in ``jobs`` worker processes;
-    ValueError when ``jobs`` is below 1.
-
-    The workers are those of ``pool``, an executor of worker processes that
-    the caller shuts down (``optimize`` gives every level of its run one
-    pool, so that per-process caches such as the counter templates stay
-    warm), or else of a pool of ``jobs`` workers that this call opens and
-    shuts down, reaping its workers, before it returns or raises.
+    ValueError when ``jobs`` is below 1.  The workers are reaped before this
+    returns or raises.
 
     The calling process answers what it can from ``catalog`` (see
     ``cached_result``) and sends the other tasks to the workers, which encode,
@@ -361,8 +355,27 @@ def run_level(
     ``solve_fn`` is sent to the workers, so it must be picklable: a
     module-level function or an instance of a module-level class.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    with _worker_pool(jobs) as pool:
+        return _run_level(pool, jobs, n, d, s, prefixes, config, catalog, solve_fn,
+                          stop_on_sat, on_result)
+
+
+def _run_level(
+    pool: Executor,
+    jobs: int,
+    n: int,
+    d: int,
+    s: int,
+    prefixes: Sequence[Sentence] | None,
+    config: SolverConfig | None,
+    catalog: ResultCatalog | None,
+    solve_fn: Callable[..., SolveOutcome],
+    stop_on_sat: bool,
+    on_result: Callable[[SearchResult], None] | None,
+) -> LevelOutcome:
+    """``run_level`` in ``pool``, which ``_worker_pool(jobs)`` opened and its
+    caller shuts down: ``optimize`` runs all its levels in one pool, so that
+    per-process caches such as the counter templates stay warm."""
     config = config or SolverConfig()
     tasks = [
         SearchTask(n, d, s, EncodeOptions().with_prefix(p), config)
@@ -370,21 +383,20 @@ def run_level(
     ]
     batch = jobs if stop_on_sat else max(len(tasks), 1)
     results: list[SearchResult] = []
-    with nullcontext(pool) if pool is not None else _worker_pool(jobs) as workers:
-        for start in range(0, len(tasks), batch):
-            chunk = tasks[start:start + batch]
-            hits = [cached_result(t, catalog) for t in chunk]
-            misses = [t for t, hit in zip(chunk, hits) if hit is None]
-            solved = workers.map(run_task, misses, repeat(None), repeat(solve_fn))
-            for hit in hits:
-                res = hit if hit is not None else next(solved)
-                if catalog is not None:
-                    catalog.put(res)
-                results.append(res)
-                if on_result is not None:
-                    on_result(res)
-            if stop_on_sat and any(r.status == SAT for r in results[start:]):
-                break
+    for start in range(0, len(tasks), batch):
+        chunk = tasks[start:start + batch]
+        hits = [cached_result(t, catalog) for t in chunk]
+        misses = [t for t, hit in zip(chunk, hits) if hit is None]
+        solved = pool.map(run_task, misses, repeat(None), repeat(solve_fn))
+        for hit in hits:
+            res = hit if hit is not None else next(solved)
+            if catalog is not None:
+                catalog.put(res)
+            results.append(res)
+            if on_result is not None:
+                on_result(res)
+        if stop_on_sat and any(r.status == SAT for r in results[start:]):
+            break
     return LevelOutcome(d, s, results)
 
 
@@ -436,8 +448,8 @@ def optimize(
 
         def level(d: int, s: int, stop_on_sat: bool = True) -> LevelOutcome:
             prefixes = prefix_pool if d >= 2 else None
-            return run_level(n, d, s, prefixes, config, catalog, solve_fn, jobs, stop_on_sat,
-                             pool=workers)
+            return _run_level(workers, jobs, n, d, s, prefixes, config, catalog, solve_fn,
+                              stop_on_sat, None)
 
         if mode == "min_size_given_depth":
             if depth is None:
@@ -456,18 +468,11 @@ def _min_size_at_depth(n: int, d: int, level) -> OptimalityClaim:
     claim = OptimalityClaim(n, "min_size_given_depth", d, None, False)
     s = max_size(n, d)
     best: int | None = None  # size of the smallest witness found so far
-    final: LevelOutcome | None = None  # the last SAT level
     while s >= 1:
         out = level(d, s)
-        if out.status == SAT and _smallest(out) == s:
-            # a tight level, which may be the optimal one: solve every task,
-            # so that it holds every witness prefix, and so that the level
-            # below solves only the prefixes SAT here (the catalog settles the
-            # others)
-            out = level(d, s, stop_on_sat=False)
         claim.evidence.extend(out.results)
         if out.status == SAT:
-            best, final = _smallest(out), out
+            best = min(r.network.size for r in out.witnesses())
             s = best - 1
         elif out.status == UNSAT:
             if best is None:
@@ -480,20 +485,14 @@ def _min_size_at_depth(n: int, d: int, level) -> OptimalityClaim:
             claim.value = best
             return claim
     if best is not None:
-        if final.s != best:
-            # the optimal level was never run: run it without short-circuiting
-            # so that every witness prefix is identified
-            final = level(d, best, stop_on_sat=False)
-            claim.evidence.extend(final.results)
+        # rerun the optimal level without short-circuiting so every witness
+        # prefix is identified
+        final = level(d, best, stop_on_sat=False)
+        claim.evidence.extend(final.results)
         claim.value = best
         claim.witnesses = final.witnesses()
         claim.proven = True
     return claim
-
-
-def _smallest(out: LevelOutcome) -> int:
-    """The size of the smallest witness of a SAT level."""
-    return min(r.network.size for r in out.witnesses())
 
 
 def _min_depth_at_size(n: int, s: int, level) -> OptimalityClaim:

@@ -82,8 +82,7 @@ def write_dimacs(formula: CnfFormula, fh: TextIO) -> None:
     fh.write(f"p cnf {nv} {formula.num_clauses}\n")
     # the text of each entry: a literal with a space after it; a clause's 0
     # ends its line instead
-    positive = [f"{v} " for v in range(1, nv + 1)]
-    text = ["0\n", *positive, *["-" + p for p in reversed(positive)]]
+    text = ["0\n", *(f"{v} " for v in range(1, nv + 1)), *(f"-{v} " for v in range(nv, 0, -1))]
     # num_vars is set by the encoder, not derived from the clauses, and
     # hand-built formulas reach here too: runs checks the range
     for run in formula.runs(text):

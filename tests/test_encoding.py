@@ -352,11 +352,6 @@ def test_templates_match_encoding_each_input(monkeypatch, options):
         assert fast.num_vars == ref.num_vars, (n, d, prefix)
         assert fast == ref, (n, d, prefix)
         assert fast_vm.dump_map() == ref_vm.dump_map(), (n, d, prefix)
-        # the layer-independence template reads back encode_valid's clauses
-        valid, ref_valid = CnfFormula(fast.num_vars), CnfFormula(fast.num_vars)
-        valid.add_template(encoding._valid_template(n, d), range(0))
-        encode_valid(VarMap(n, d), ref_valid)
-        assert valid == ref_valid, (n, d)
 
 
 def _build_with_a_direct_counter(monkeypatch, n, d, s, options):

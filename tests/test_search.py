@@ -242,22 +242,36 @@ def test_pareto_solver_calls(request, tmp_path, n, prefixes, cfg, calls):
     assert claim.proven and counter.calls == calls
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_prefixed_descent_solves_each_level_once(external_cfg, tmp_path, jobs):
-    # 14 solves at s=18, 17 at s=16, the 6 that complete the tight level s=16,
-    # then at s=15 only the 3 prefixes SAT at 16: the catalog refutes the
-    # other 33, and s=16 needs no rerun
+@pytest.mark.parametrize(
+    "n, d, jobs, calls, value, witnesses",
+    [
+        # 14 solves at s=18, 17 at s=16 (16 at --jobs 1), 8 at s=15 (the
+        # catalog refutes the other 28 prefixes from above), then the 6 (7)
+        # that complete s=16
+        (7, 6, 1, 45, 16, ["(012,1221c)", "(012,2112)", "(0122112)"]),
+        (7, 6, 2, 45, 16, ["(012,1221c)", "(012,2112)", "(0122112)"]),
+        # two levels whose smallest witness has exactly s comparators, s=13
+        # and the optimal s=12: each stops at its first SAT batch, and only
+        # s=12 is completed, after s=11 is refuted
+        (6, 7, 2, 50, 12, [
+            "(0,0,0,012)", "(0,0,0120)", "(0,0,1212)", "(0,0,1221)", "(0,0,1221c)", "(0,012,12)",
+            "(0,01221)", "(012,012)", "(012,021)", "(0120,12)", "(012210)", "(12,1212)",
+            "(12,1221)", "(12,1221c)", "(121221)", "(121221c)", "(122112)"]),
+    ],
+    ids=["7-d6-jobs1", "7-d6-jobs2", "6-d7-jobs2"],
+)
+def test_prefixed_descent_solver_calls(external_cfg, tmp_path, n, d, jobs, calls, value,
+                                       witnesses):
     counter = CountingSolver(tmp_path / "calls")
     catalog = ResultCatalog(tmp_path / "catalog.jsonl")
-    claim = optimize(7, "min_size_given_depth", depth=6, config=external_cfg,
+    claim = optimize(n, "min_size_given_depth", depth=d, config=external_cfg,
                      prefixes="tprime", catalog=catalog, solve_fn=counter, jobs=jobs)
-    assert claim.summary() == "n=7 min_size_given_depth(6) = 16 [proven]"
-    assert counter.calls == 40
-    assert [format_sentence(r.prefix) for r in claim.witnesses] == [
-        "(012,1221c)", "(012,2112)", "(0122112)"]
+    assert claim.summary() == f"n={n} min_size_given_depth({d}) = {value} [proven]"
+    assert counter.calls == calls
+    assert [format_sentence(r.prefix) for r in claim.witnesses] == witnesses
     records = [json.loads(line) for line in catalog.path.read_text().splitlines()]
-    below = [r["status"] for r in records if (r["d"], r["s"]) == (6, 15)]
-    assert below == [UNSAT] * len(generate_prefixes(7, "T'").sentences)
+    below = [r["status"] for r in records if (r["d"], r["s"]) == (d, value - 1)]
+    assert below == [UNSAT] * len(generate_prefixes(n, "T'").sentences)
 
 
 class FailingSolver:
