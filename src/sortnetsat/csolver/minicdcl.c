@@ -21,12 +21,12 @@
  * literal beyond the declared count, anything else that is no literal, a
  * clause before the "p cnf VARS CLAUSES" line, a p line with a count missing,
  * negative or too large (VARS at most (INT_MAX - 3) / 2, so that every
- * literal code and twice any LBD fit an int), and a second p line, which
+ * literal code fits an int), and a second p line, which
  * would drop the clauses read before it.  A last clause without its 0 is
  * kept, a tautology is dropped and a repeated literal is kept once.
  *
  * Propagation follows the cache-conscious layout of Chu, Harwood & Stuckey
- * (JSAT 2009), in three ways that leave the search unchanged:
+ * (JSAT 2009), in four ways that leave the search unchanged:
  *   - literal codes: inside the solver the literal v is 2v and -v is 2v+1, so
  *     a literal's value is one load from vals[] and indexes its watch list;
  *   - prefetching: a watch list's clauses are prefetched ahead of the visit,
@@ -35,9 +35,14 @@
  *   - the problem clauses satisfied at level 0 are dropped once, after the
  *     first propagation, from the watch lists and orig_refs in place.  Such a
  *     clause never propagates or conflicts, so every other watcher keeps its
- *     place.  Rebuilding the lists in clause order instead changes the search.
+ *     place.  Rebuilding the lists in clause order instead changes the search;
+ *   - clause layout: right after that drop, the clauses left are copied into
+ *     a fresh arena in watch-list order (each where the walk over the literal
+ *     codes first meets it), and every ref is renamed in place, so a watch
+ *     list's visits mostly read neighbouring clauses.  A clause's header is
+ *     one word, its size; a learnt clause keeps its LBD in the word before.
  * Every decision, conflict and model is the same as without them; the
- * counters of four instances are pinned by
+ * counters of five instances are pinned by
  * tests/test_solving.py::test_bundled_solver_search_is_pinned.
  */
 
@@ -77,7 +82,8 @@ static void vpush(vec *v, int x) {
 /* ---------------- solver state ---------------- */
 static int nvars = 0;
 
-/* clause arena: [size][flags(bit0=learnt, rest=lbd)][lits...] */
+/* clause arena: [size][lits...], a learnt clause preceded by its LBD; a
+ * clause's ref is the index of its size word */
 static int *arena = NULL;
 static int arena_sz = 0, arena_cap = 0;
 
@@ -179,14 +185,14 @@ static void var_bump(int v) {
 
 /* ---------------- clauses ---------------- */
 static int add_clause_raw(const int *lits, int n, int learnt, int lbd) {
-    while (arena_sz + n + 2 > arena_cap) {
+    while (arena_sz + n + 1 + learnt > arena_cap) {
         arena_cap = arena_cap ? 2 * arena_cap : 1 << 16;
         arena = (int *)realloc(arena, (size_t)arena_cap * sizeof(int));
         if (!arena) die("out of memory");
     }
+    if (learnt) arena[arena_sz++] = lbd;
     int ref = arena_sz;
     arena[arena_sz++] = n;
-    arena[arena_sz++] = (lbd << 1) | (learnt & 1);
     memcpy(arena + arena_sz, lits, (size_t)n * sizeof(int));
     arena_sz += n;
     vpush(&watches[lits[0]], ref);
@@ -219,7 +225,7 @@ static int propagate(void) { /* returns conflicting ref or -1 */
             if (i + PREFETCH_AHEAD < ws->sz) PREFETCH(arena + ws->data[i + PREFETCH_AHEAD]);
             int cr = ws->data[i++];
             int *c = arena + cr;
-            int *lits = c + 2;
+            int *lits = c + 1;
             /* one of lits[0], lits[1] is false_lit; the other is read in place */
             if (vals[lits[0] ^ lits[1] ^ false_lit] == 1) {
                 ws->data[j++] = cr;
@@ -280,7 +286,7 @@ static int lit_redundant(int q) {
     if (r < 0) return 0;
     int *c = arena + r;
     int sz = c[0];
-    int *lits = c + 2;
+    int *lits = c + 1;
     for (int k = 1; k < sz; k++) {
         int v = VAR(lits[k]);
         if (level_[v] > 0 && !seen[v]) return 0;
@@ -298,7 +304,7 @@ static int analyze(int confl, int *out_lbd) {
     do {
         int *c = arena + confl;
         int sz = c[0];
-        int *lits = c + 2;
+        int *lits = c + 1;
         for (int k = (p == 0 ? 0 : 1); k < sz; k++) {
             int q = lits[k];
             int v = VAR(q);
@@ -353,16 +359,19 @@ static int analyze(int confl, int *out_lbd) {
 /* ------------- level-0 simplification + learnt reduction + GC ------------- */
 static int cmp_learnt(const void *a, const void *b) {
     int ra = *(const int *)a, rb = *(const int *)b;
-    int la = arena[ra + 1] >> 1, lb = arena[rb + 1] >> 1;
+    int la = arena[ra - 1], lb = arena[rb - 1];
     if (la != lb) return la - lb;
     return arena[ra] - arena[rb]; /* shorter first */
 }
 
-static int copy_clause(int cr, int *new_arena, int *new_sz) {
+/* appends the clause cr, after its LBD if it is learnt, to new_arena;
+ * returns its new ref */
+static int copy_clause(int cr, int learnt, int *new_arena, int *new_sz) {
     int n = arena[cr];
+    if (learnt) new_arena[(*new_sz)++] = arena[cr - 1];
     int ref = *new_sz;
-    memcpy(new_arena + ref, arena + cr, (size_t)(n + 2) * sizeof(int));
-    *new_sz += n + 2;
+    memcpy(new_arena + ref, arena + cr, (size_t)(n + 1) * sizeof(int));
+    *new_sz += n + 1;
     return ref;
 }
 
@@ -377,7 +386,7 @@ static int reduce_and_simplify(void) {
         int j = 0;
         for (int i = 0; i < learnts.sz; i++) {
             int cr = learnts.data[i];
-            int lbd = arena[cr + 1] >> 1;
+            int lbd = arena[cr - 1];
             if (i < keep || lbd <= 3)
                 learnts.data[j++] = cr;
         }
@@ -397,7 +406,7 @@ static int reduce_and_simplify(void) {
         for (int i = 0; i < src->sz; i++) {
             int cr = src->data[i];
             int n = arena[cr];
-            int *lits = arena + cr + 2;
+            int *lits = arena + cr + 1;
             int sat = 0, m = 0;
             for (int k = 0; k < n; k++) {
                 int val = vals[lits[k]];
@@ -417,9 +426,9 @@ static int reduce_and_simplify(void) {
                 continue;
             }
             arena[cr] = m;
-            int ref = copy_clause(cr, new_arena, &new_sz);
+            int ref = copy_clause(cr, which, new_arena, &new_sz);
+            vpush(&watches[new_arena[ref + 1]], ref);
             vpush(&watches[new_arena[ref + 2]], ref);
-            vpush(&watches[new_arena[ref + 3]], ref);
             src->data[j++] = ref;
         }
         src->sz = j;
@@ -436,12 +445,39 @@ static void drop_satisfied(vec *refs) {
     for (int i = 0; i < refs->sz; i++) {
         int cr = refs->data[i];
         int n = arena[cr], k;
-        int *lits = arena + cr + 2;
+        int *lits = arena + cr + 1;
         for (k = 0; k < n && vals[lits[k]] != 1; k++)
             ;
         if (k == n) refs->data[j++] = cr;
     }
     refs->sz = j;
+}
+
+/* at level 0, before the first decision, when every clause is a problem
+ * clause: copies the clauses into a fresh arena of their size, in the order
+ * the watch lists meet them, literal code by literal code, so that most
+ * clauses of a watch list lie together.  The refs are renamed in place, so
+ * every list keeps its order, and the search stays the same.  A copied
+ * clause's old size word holds ~(its new ref), which is negative */
+static void relayout(void) {
+    for (int t = 0; t < trail_sz; t++) reason_[VAR(trail[t])] = -1;
+    int live = 0;
+    for (int i = 0; i < orig_refs.sz; i++) live += arena[orig_refs.data[i]] + 1;
+    int *new_arena = (int *)malloc((size_t)live * sizeof(int));
+    if (!new_arena && live) die("out of memory");
+    int new_sz = 0;
+    for (int l = 0; l < 2 * (nvars + 1); l++) {
+        vec *ws = &watches[l];
+        for (int i = 0; i < ws->sz; i++) {
+            int cr = ws->data[i];
+            if (arena[cr] >= 0) arena[cr] = ~copy_clause(cr, 0, new_arena, &new_sz);
+            ws->data[i] = ~arena[cr];
+        }
+    }
+    for (int i = 0; i < orig_refs.sz; i++) orig_refs.data[i] = ~arena[orig_refs.data[i]];
+    free(arena);
+    arena = new_arena;
+    arena_sz = arena_cap = new_sz;
 }
 
 /* ---------------- restarts ---------------- */
@@ -634,6 +670,7 @@ int main(int argc, char **argv) {
      * of the clauses left, and with it the search */
     drop_satisfied(&orig_refs);
     for (int l = 0; l < 2 * (nvars + 1); l++) drop_satisfied(&watches[l]);
+    relayout();
     long restart_budget = 100;
     long conflicts_at_restart = 0;
 

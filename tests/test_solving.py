@@ -486,9 +486,11 @@ def _run_bundled(binary, cnf):
 
 
 def test_bundled_solver_search_is_pinned(bundled_solver, tmp_path):
-    """The bundled solver's search on four instances, pinned by its counters,
+    """The bundled solver's search on five instances, pinned by its counters,
     its answer and, for SAT, the sha256 of its "v" lines.  Reductions of the
-    learnt clauses fire on (5,6,8).  A speedup of the solver keeps these values;
+    learnt clauses fire on (5,6,8); the prefix of the last (9,7,25) instance
+    satisfies most of its clauses at level 0, so the solver drops them and
+    lays out a much smaller clause store before its first decision.  A speedup of the solver keeps these values;
     a change to its search (ROADMAP items 5 and 7) updates them and says so in
     CHANGES.md."""
     cases = [
@@ -498,6 +500,7 @@ def test_bundled_solver_search_is_pinned(bundled_solver, tmp_path):
          "7de86fac98bee7cd57a9cbf4fd13142b508fae99953faaf011cc777789fa0973"),
         ((9, 7, 25, "(012211212)"), (2131, 3146, 2062281, 2108, 13), "SATISFIABLE",
          "81d01127fd8a3ff8075e860f80045942e3cceb6b61bd4264477e88804e1e1a6c"),
+        ((9, 7, 25, "(0,0,0,0,0,1212)"), (1056, 1346, 1969822, 1021, 6), "UNSATISFIABLE", None),
     ]
     names = ("conflicts", "decisions", "propagations", "learnts", "restarts")
     cnf = tmp_path / "instance.cnf"
@@ -585,9 +588,10 @@ def test_bundled_solver_rejects_a_malformed_file(bundled_solver, tmp_path, text,
 @needs_cc
 def test_bundled_solver_is_clean_under_sanitizers(bundled_solver, tmp_path):
     """A build with AddressSanitizer and UndefinedBehaviorSanitizer reports
-    nothing on every loader case above and on a pinned instance, and answers
-    as the bundled binary does.  Leak checks are off: the solver frees
-    nothing at exit."""
+    nothing on every loader case above and on two pinned instances, and
+    answers as the bundled binary does.  Learnt-clause reductions fire on
+    (5,6,8), so the clause-store copies and the learnt clauses' LBD words are
+    checked too.  Leak checks are off: the solver frees nothing at exit."""
     binary = tmp_path / "minicdcl-asan"
     cmd = [csolver.compiler(), "-std=c99", "-O1", "-g", "-fsanitize=address,undefined",
            "-fno-omit-frame-pointer", "-o", str(binary), str(csolver._SOURCE)]
@@ -595,8 +599,9 @@ def test_bundled_solver_is_clean_under_sanitizers(bundled_solver, tmp_path):
         pytest.skip("the compiler cannot build with -fsanitize=address,undefined")
     texts = [case.values[0] for case in READ_CASES + MALFORMED_CASES]
     texts += [f"p cnf 2 1\n1 {lit} 0\n" for lit in BEYOND_THE_COUNT]
-    f, _ = build_instance(6, 5, 12)
-    texts.append(emit_dimacs(f))
+    for n, d, size in ((6, 5, 12), (5, 6, 8)):
+        f, _ = build_instance(n, d, size)
+        texts.append(emit_dimacs(f))
     env = {**os.environ, "ASAN_OPTIONS": "detect_leaks=0", "UBSAN_OPTIONS": "print_stacktrace=1"}
     cnf = tmp_path / "in.cnf"
     for text in texts:
