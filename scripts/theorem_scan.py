@@ -13,7 +13,7 @@ A level that cannot be scanned (d < 2, s < 1, an empty T'_n, --jobs or
 starts.
 
 Examples:
-    python scripts/theorem_scan.py 10 7 30            # ~3 min on 2 cores
+    python scripts/theorem_scan.py 10 7 30            # 92 s on 2 cores at 52a0951
     python scripts/theorem_scan.py 10 7 29            # after 10 7 30: no solve
     python scripts/theorem_scan.py 11 8 35 --jobs 2   # hours
     python scripts/theorem_scan.py 11 9 34 --timeout 86400   # days

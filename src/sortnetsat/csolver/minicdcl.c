@@ -426,7 +426,7 @@ static int reduce_and_simplify(void) {
                 continue;
             }
             arena[cr] = m;
-            int ref = copy_clause(cr, which, new_arena, &new_sz);
+            int ref = copy_clause(cr, src == &learnts, new_arena, &new_sz);
             vpush(&watches[new_arena[ref + 1]], ref);
             vpush(&watches[new_arena[ref + 2]], ref);
             src->data[j++] = ref;
@@ -458,7 +458,8 @@ static void drop_satisfied(vec *refs) {
  * the watch lists meet them, literal code by literal code, so that most
  * clauses of a watch list lie together.  The refs are renamed in place, so
  * every list keeps its order, and the search stays the same.  A copied
- * clause's old size word holds ~(its new ref), which is negative */
+ * clause's old size word holds ~(its new ref), which is negative.  Level-0
+ * reasons are never inspected again, so they are cleared, not renamed */
 static void relayout(void) {
     for (int t = 0; t < trail_sz; t++) reason_[VAR(trail[t])] = -1;
     int live = 0;
