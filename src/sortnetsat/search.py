@@ -186,12 +186,20 @@ class ResultCatalog:
         return (res.n, res.options_key)
 
     def get(self, task: SearchTask) -> SearchResult | None:
-        """The record that settles ``task`` (see ``_settles``): the task's own
-        record when one settles it, else the first in catalog order; None when
-        none does."""
+        """The catalog's answer to ``task``; None when no record settles it
+        (see ``_settles``).  That is the task's own record when one settles
+        it, else the answer derived from the first settling record in catalog
+        order: for the task's own (d, s), with ``implied_by`` set, no timings
+        and the record's witness unchanged."""
         records = self._index.get((task.n, task.options.key()), [])
         own = [r for r in records if (r.d, r.s) == (task.d, task.s)]
-        return next((r for r in own + records if _settles(r, task.d, task.s)), None)
+        hit = next((r for r in own + records if _settles(r, task.d, task.s)), None)
+        if hit is None or (hit.d, hit.s) == (task.d, task.s):
+            return hit
+        return SearchResult(
+            task.n, task.d, task.s, task.options.prefix, hit.options_key, hit.status,
+            hit.network, hit.solver, {}, (hit.d, hit.s),
+        )
 
     def put(self, res: SearchResult) -> None:
         """Record ``res``; a record the catalog already holds (a reused answer)
@@ -216,30 +224,15 @@ class ResultCatalog:
             raise OSError(f"{self.path}: wrote {written} of {len(line)} bytes of a record")
 
 
-def cached_result(task: SearchTask, catalog: ResultCatalog | None) -> SearchResult | None:
-    """The catalog's answer to ``task`` (see ``ResultCatalog.get``), else None.
-
-    A record at other bounds gives a derived answer for the task's own (d, s),
-    with ``implied_by`` set, no timings and the record's witness unchanged.
-    """
-    hit = catalog.get(task) if catalog is not None else None
-    if hit is None or (hit.d, hit.s) == (task.d, task.s):
-        return hit
-    return SearchResult(
-        task.n, task.d, task.s, task.options.prefix, hit.options_key, hit.status,
-        hit.network, hit.solver, {}, (hit.d, hit.s),
-    )
-
-
 def run_task(
     task: SearchTask,
     catalog: ResultCatalog | None = None,
     solve_fn: Callable[..., SolveOutcome] = solve,
 ) -> SearchResult:
     """Solve one (n, d, s, prefix) instance, reusing catalog answers
-    (see ``cached_result``) and recording the answer, solved or derived, in
-    the catalog."""
-    hit = cached_result(task, catalog)
+    (see ``ResultCatalog.get``) and recording the answer, solved or derived,
+    in the catalog."""
+    hit = catalog.get(task) if catalog is not None else None
     if hit is not None:
         catalog.put(hit)  # writes a derived answer; a reused record stays as it is
         return hit
@@ -345,9 +338,10 @@ def run_level(
     returns or raises.
 
     The calling process answers what it can from ``catalog`` (see
-    ``cached_result``) and sends the other tasks to the workers, which encode,
-    solve, decode and verify them; only the calling process writes the
-    catalog, one record per solved or derived answer in task order.  With
+    ``ResultCatalog.get``) and sends the other tasks to the workers, which
+    encode, solve, decode and verify them; only the calling process writes
+    the catalog, one record per solved or derived answer in task order.
+    Without a ``catalog`` the answers are kept in memory.  With
     ``stop_on_sat`` the tasks run in consecutive batches of ``jobs`` and the
     level stops after the first batch that holds a SAT, so which tasks get
     solved does not depend on timing; without it every task is solved.
@@ -355,6 +349,8 @@ def run_level(
     ``solve_fn`` is sent to the workers, so it must be picklable: a
     module-level function or an instance of a module-level class.
     """
+    if catalog is None:
+        catalog = ResultCatalog(None)
     with _worker_pool(jobs) as pool:
         return _run_level(pool, jobs, n, d, s, prefixes, config, catalog, solve_fn,
                           stop_on_sat, on_result)
@@ -368,7 +364,7 @@ def _run_level(
     s: int,
     prefixes: Sequence[Sentence] | None,
     config: SolverConfig | None,
-    catalog: ResultCatalog | None,
+    catalog: ResultCatalog,
     solve_fn: Callable[..., SolveOutcome],
     stop_on_sat: bool,
     on_result: Callable[[SearchResult], None] | None,
@@ -385,13 +381,12 @@ def _run_level(
     results: list[SearchResult] = []
     for start in range(0, len(tasks), batch):
         chunk = tasks[start:start + batch]
-        hits = [cached_result(t, catalog) for t in chunk]
+        hits = [catalog.get(t) for t in chunk]
         misses = [t for t, hit in zip(chunk, hits) if hit is None]
         solved = pool.map(run_task, misses, repeat(None), repeat(solve_fn))
         for hit in hits:
             res = hit if hit is not None else next(solved)
-            if catalog is not None:
-                catalog.put(res)
+            catalog.put(res)
             results.append(res)
             if on_result is not None:
                 on_result(res)
@@ -402,7 +397,10 @@ def _run_level(
 
 def _prefix_pool(n: int, prefixes: str) -> list[Sentence] | None:
     """The prefixes each level of depth >= 2 runs over; None for a level
-    without prefixes, also when T' is empty (n <= 2)."""
+    without prefixes, also when T' is empty (n <= 2).  ValueError for a
+    ``prefixes`` other than "auto", "none" and "tprime"."""
+    if prefixes not in ("auto", "none", "tprime"):
+        raise ValueError(f"unknown prefixes {prefixes!r}")
     if prefixes == "tprime" or (prefixes == "auto" and n >= 11):
         return list(generate_prefixes(n, "T'").sentences) or None
     return None
@@ -428,7 +426,7 @@ def optimize(
     * ``min_size_given_depth``: smallest s admitting a depth-``depth`` sorting
       network, descending from the first witness, UNSAT at s-1 required.
     * ``min_depth_given_size``: smallest d admitting one with at most ``size``
-      comparators, ascending.
+      comparators, ascending to d = ``size``, where UNSAT proves none exists.
     * ``pareto``: the (d, s) frontier: the smallest size at each depth from
       the minimal feasible one, until extra depth stops helping.
 
@@ -496,20 +494,21 @@ def _min_size_at_depth(n: int, d: int, level) -> OptimalityClaim:
 
 
 def _min_depth_at_size(n: int, s: int, level) -> OptimalityClaim:
-    claim = OptimalityClaim(n, "min_depth_given_size", s, None, False)
-    proven_below = True
-    for d in range(1, 2 * n + 1):
+    # a network with at most s comparators has at most s non-empty layers, so
+    # the climb ends at d = s: UNSAT there proves that no network has s (d = 1
+    # always runs, so that the encoder rejects an s below 1)
+    claim = OptimalityClaim(n, "min_depth_given_size", s, None, True)
+    for d in range(1, max(s, 1) + 1):
         out = level(d, min(s, max_size(n, d)))
         claim.evidence.extend(out.results)
         if out.status == SAT:
             claim.value = d
             claim.witnesses = out.witnesses()
-            claim.proven = proven_below
             return claim
         if out.status == UNKNOWN:
-            proven_below = False
+            claim.proven = False
             claim.note = f"UNKNOWN at d={d}"
-    claim.note = claim.note or f"no network with {s} comparators up to depth {2 * n}"
+    claim.note = claim.note or f"no network with {s} comparators"
     return claim
 
 

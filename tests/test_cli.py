@@ -134,6 +134,9 @@ def test_optimize_pareto_prints_its_witnesses(tmp_path, capsys):
         (["prefixes", "0"], "n must be positive, got 0"),
         (["optimize", "1", "--mode", "pareto"], "optimize needs n >= 2, got 1"),
         (["optimize", "5", "--mode", "size"], "optimize --mode size needs --depth"),
+        (["optimize", "5", "--mode", "depth"], "optimize --mode depth needs --size"),
+        (["optimize", "4", "--mode", "depth", "--size", "0", "--backend", "builtin"],
+         "need s >= 1, got s=0"),
         (["optimize", "4", "--mode", "size", "--depth", "0"], "--depth must be at least 1, got 0"),
         (["optimize", "4", "--mode", "size", "--depth", "3", "--jobs", "0"],
          "--jobs must be at least 1, got 0"),
@@ -161,7 +164,8 @@ def test_optimize_pareto_prints_its_witnesses(tmp_path, capsys):
         (["solve", "4", "3", "5", "--solver", "x"], "unrecognized arguments: --solver x"),
     ],
     ids=["prefix-too-deep", "malformed-prefix", "non-canonical-prefix", "no-channels",
-         "one-channel-optimize", "size-mode-without-depth", "depth-zero", "no-jobs",
+         "one-channel-optimize", "size-mode-without-depth",
+         "depth-mode-without-size", "size-zero", "depth-zero", "no-jobs",
          "no-timeout", "verify-missing-file", "render-missing-file", "verify-non-json",
          "verify-no-layers", "render-no-layers", "verify-comparator-out-of-range",
          "solve-output-dir", "encode-output-dir", "encode-map-dir", "optimize-witness-dir",

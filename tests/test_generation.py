@@ -93,3 +93,7 @@ def test_variant_spellings():
     assert generate_prefixes(5, "h") == generate_prefixes(5, "H")
     with pytest.raises(ValueError):
         generate_prefixes(5, "X")
+    # and a channel count that names no prefix set
+    for fn in (generate_prefixes, count_prefixes):
+        with pytest.raises(ValueError, match="n must be positive, got 0"):
+            fn(0)

@@ -1,5 +1,8 @@
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from sortnetsat.solving import SOLVER_ENV_VAR
@@ -38,3 +41,25 @@ def test_reproduce_small_optima_proves_the_frontiers(external_cfg, tmp_path, mon
         "n=3: frontier (d=3, s=3) [proven]",
         "n=4: frontier (d=3, s=5) [proven]",
     ]
+
+
+# the benchmark's traced run patches the program's functions by name
+# (perfbench/layertrace.py), and its level workload patches theorem_scan's
+# ``generate_prefixes`` and calls its ``main``; a rename breaks only that run
+HOOKS = """
+import importlib.util, sys
+sys.path.insert(0, "perfbench")
+import layertrace
+layertrace.install(layertrace.Tracer())
+spec = importlib.util.spec_from_file_location("theorem_scan", "scripts/theorem_scan.py")
+scan = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(scan)
+assert callable(scan.generate_prefixes) and callable(scan.main)
+"""
+
+
+def test_the_benchmark_hooks_find_every_name_they_patch():
+    proc = subprocess.run([sys.executable, "-c", HOOKS], cwd=SCRIPTS.parent,
+                          env={**os.environ, "PYTHONPATH": "src"},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

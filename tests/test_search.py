@@ -14,7 +14,6 @@ from sortnetsat.search import (
     ResultCatalog,
     SearchResult,
     SearchTask,
-    cached_result,
     optimize,
     run_level,
     run_task,
@@ -170,18 +169,30 @@ def test_warm_catalog_skips_solver_calls(builtin_cfg, catalog, tmp_path):
     assert claim2.proven and claim2.note == claim.note
 
 
-def test_unknown_is_never_evidence(builtin_cfg, catalog, tmp_path):
+@pytest.mark.parametrize(
+    "mode, bound, levels, note",
+    [
+        ("min_size_given_depth", {"depth": 3}, [(3, 3)], "UNKNOWN at s=3; bound not proven"),
+        # the climb goes on past an UNKNOWN level, and stops at d = size
+        ("min_depth_given_size", {"size": 3}, [(1, 1), (2, 2), (3, 3)], "UNKNOWN at d=3"),
+        ("pareto", {}, [(1, 1)], "depth 1: UNKNOWN at s=1; bound not proven"),
+    ],
+    ids=["min-size", "min-depth", "pareto"],
+)
+def test_unknown_is_never_evidence(builtin_cfg, catalog, tmp_path, mode, bound, levels, note):
     claim = optimize(
-        3, "min_size_given_depth", depth=3,
+        3, mode, **bound,
         config=builtin_cfg, catalog=catalog, solve_fn=AlwaysUnknown(),
     )
     assert not claim.proven
-    assert claim.value is None
+    assert claim.value is None and claim.note == note
     # and the unknowns were recorded but will not satisfy future lookups
     assert all(r.status == UNKNOWN for r in claim.evidence)
-    task = SearchTask(3, 3, 3, config=builtin_cfg)
+    task = SearchTask(3, *levels[-1], config=builtin_cfg)
     records = [json.loads(line) for line in catalog.path.read_text().splitlines()]
-    assert [(r["d"], r["s"], r["status"]) for r in records] == [(3, 3, UNKNOWN)]
+    assert [(r["d"], r["s"], r["status"]) for r in records] == [
+        (d, s, UNKNOWN) for d, s in levels
+    ]
     assert catalog.get(task) is None
     assert ResultCatalog(catalog.path).get(task) is None
     counter = CountingSolver(tmp_path / "calls")
@@ -299,10 +310,22 @@ def test_optimize_runs_every_level_in_one_pool_and_reaps_it(builtin_cfg, tmp_pat
     assert multiprocessing.active_children() == []
 
 
-def test_optimize_infeasible_depth(builtin_cfg):
-    claim = optimize(4, "min_size_given_depth", depth=2, config=builtin_cfg)
+@pytest.mark.parametrize(
+    "mode, bound, note, calls",
+    [
+        ("min_size_given_depth", {"depth": 2}, "no sorting network", 1),
+        # a network with 4 comparators has at most 4 layers: UNSAT at
+        # d = 1 ... 4 proves that there is none
+        ("min_depth_given_size", {"size": 4}, "no network with 4 comparators", 4),
+    ],
+    ids=["size-at-depth-2", "depth-at-size-4"],
+)
+def test_optimize_infeasible_depth(builtin_cfg, tmp_path, mode, bound, note, calls):
+    counter = CountingSolver(tmp_path / "calls")
+    claim = optimize(4, mode, **bound, config=builtin_cfg, solve_fn=counter)
     assert claim.proven and claim.value is None
-    assert "no sorting network" in claim.note
+    assert note in claim.note
+    assert counter.calls == calls
 
 
 def test_prefixed_level_uses_all_prefixes(builtin_cfg, catalog):
@@ -333,6 +356,16 @@ def test_level_runs_refuse_fewer_than_one_job(builtin_cfg, catalog):
     with pytest.raises(ValueError, match="jobs must be at least 1, got 0"):
         optimize(4, "min_size_given_depth", depth=3, config=builtin_cfg, catalog=catalog,
                  jobs=0)
+    # and the other arguments that optimize cannot run with
+    for kwargs, message in [
+        ({"n": 1, "mode": "pareto"}, "need n >= 2"),
+        ({"mode": "min_size_given_depth"}, "min_size_given_depth needs depth="),
+        ({"mode": "min_depth_given_size"}, "min_depth_given_size needs size="),
+        ({"mode": "size"}, "unknown mode 'size'"),
+        ({"mode": "pareto", "prefixes": "tprim"}, "unknown prefixes 'tprim'"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            optimize(**{"n": 4, **kwargs}, config=builtin_cfg, catalog=catalog)
     assert not catalog.path.exists()  # nothing was solved
 
 
@@ -521,14 +554,12 @@ def test_dominating_unsat_answers_once_and_is_recorded(catalog, tmp_path):
          "other-options", "other-prefix", "other-encoder"],
 )
 def test_records_that_do_not_settle_a_task(record, task):
-    catalog = _memory_catalog(record)
-    assert catalog.get(task) is None
-    assert cached_result(task, catalog) is None
+    assert _memory_catalog(record).get(task) is None
 
 
 def test_derived_answer_carries_the_hit_network_unchanged():
     hit = _record(3, 5, SAT, SORTER_4, prefix=None)
-    res = cached_result(_task(5, 7, prefix=None), _memory_catalog(hit))
+    res = _memory_catalog(hit).get(_task(5, 7, prefix=None))
     assert (res.status, res.implied_by) == (SAT, (3, 5))
     assert res.network is hit.network
 
@@ -548,16 +579,16 @@ def test_padded_witness_in_an_older_catalog_loads_trimmed_and_settles(tmp_path):
 
 def test_first_settling_record_in_catalog_order_wins():
     deep, wide = _record(4, 6), _record(3, 5)
-    assert cached_result(_task(3, 4), _memory_catalog(deep, wide)).implied_by == (4, 6)
-    assert cached_result(_task(3, 4), _memory_catalog(wide, deep)).implied_by == (3, 5)
+    assert _memory_catalog(deep, wide).get(_task(3, 4)).implied_by == (4, 6)
+    assert _memory_catalog(wide, deep).get(_task(3, 4)).implied_by == (3, 5)
     own = _record(3, 4)
-    assert cached_result(_task(3, 4), _memory_catalog(deep, own)) is own
+    assert _memory_catalog(deep, own).get(_task(3, 4)) is own
 
 
 def test_records_with_and_without_implied_by_survive_a_reload(catalog, tmp_path):
     solved = _record(4, 6)
     catalog.put(solved)
-    derived = cached_result(_task(3, 4), catalog)
+    derived = catalog.get(_task(3, 4))
     catalog.put(derived)
     old = _record(4, 6, prefix=P1).record()
     del old["implied_by"]
