@@ -357,15 +357,15 @@ def test_level_runs_refuse_fewer_than_one_job(builtin_cfg, catalog):
         optimize(4, "min_size_given_depth", depth=3, config=builtin_cfg, catalog=catalog,
                  jobs=0)
     # and the other arguments that optimize cannot run with
-    for kwargs, message in [
-        ({"n": 1, "mode": "pareto"}, "need n >= 2"),
-        ({"mode": "min_size_given_depth"}, "min_size_given_depth needs depth="),
-        ({"mode": "min_depth_given_size"}, "min_depth_given_size needs size="),
-        ({"mode": "size"}, "unknown mode 'size'"),
-        ({"mode": "pareto", "prefixes": "tprim"}, "unknown prefixes 'tprim'"),
+    for n, mode, bound, message in [
+        (1, "pareto", {}, "need n >= 2"),
+        (4, "min_size_given_depth", {}, "min_size_given_depth needs depth="),
+        (4, "min_depth_given_size", {}, "min_depth_given_size needs size="),
+        (4, "size", {}, "unknown mode 'size'"),
+        (4, "pareto", {"prefixes": "tprim"}, "unknown prefixes 'tprim'"),
     ]:
         with pytest.raises(ValueError, match=message):
-            optimize(**{"n": 4, **kwargs}, config=builtin_cfg, catalog=catalog)
+            optimize(n, mode, **bound, config=builtin_cfg, catalog=catalog)
     assert not catalog.path.exists()  # nothing was solved
 
 
