@@ -6,6 +6,10 @@ proven frontier; with default settings n up to 8 finishes in a few minutes on
 the bundled solver.  Results are cached in a JSON-lines catalog so reruns are
 instant.
 
+Bad arguments (--min-n below 2, --max-n below --min-n, a --timeout that is
+not positive, a --catalog that is a directory or lies in a missing one) are
+reported before the solver is built.
+
 Usage:
     python scripts/reproduce_small_optima.py [--max-n 8] [--catalog results.jsonl]
 """
@@ -17,6 +21,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from sortnetsat.cli import UsageError, _check_output
 from sortnetsat.search import ResultCatalog, optimize
 from sortnetsat.solving import default_config
 
@@ -28,6 +33,16 @@ def main() -> int:
     ap.add_argument("--catalog", default="small_optima.jsonl")
     ap.add_argument("--timeout", type=float, default=1800.0)
     args = ap.parse_args()
+    if args.min_n < 2:
+        ap.error(f"--min-n must be at least 2, got {args.min_n}")
+    if args.max_n < args.min_n:
+        ap.error(f"--max-n must be at least --min-n ({args.min_n}), got {args.max_n}")
+    if args.timeout <= 0:
+        ap.error(f"--timeout must be positive, got {args.timeout:g}")
+    try:
+        _check_output(args.catalog)
+    except UsageError as exc:
+        ap.error(str(exc))
 
     config = default_config(timeout=args.timeout)
     catalog = ResultCatalog(args.catalog)

@@ -9,8 +9,8 @@ of a prefix answered before reads "from catalog".  A prefix that a
 record at other bounds already settles (an UNSAT at bounds no smaller, a
 witness that fits) is not solved again; its line reads "implied by d=D s=S".
 A level that cannot be scanned (d < 2, s < 1, an empty T'_n, --jobs or
---timeout not positive) is an argument error, reported before any solver
-starts.
+--timeout not positive), or a --catalog that is a directory or lies in a
+missing one, is an argument error, reported before any solver starts.
 
 Examples:
     python scripts/theorem_scan.py 10 7 30            # 92 s on 2 cores at 52a0951
@@ -27,6 +27,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from sortnetsat.cli import UsageError, _check_output
 from sortnetsat.search import ResultCatalog, run_level
 from sortnetsat.solving import SAT, UNKNOWN, UNSAT, default_config
 from sortnetsat.words import format_sentence, generate_prefixes
@@ -49,6 +50,10 @@ def main() -> int:
         ap.error(f"--jobs must be at least 1, got {args.jobs}")
     if args.timeout <= 0:
         ap.error(f"--timeout must be positive, got {args.timeout:g}")
+    try:
+        _check_output(args.catalog)
+    except UsageError as exc:
+        ap.error(str(exc))
     if args.n < 1:
         ap.error(f"n must be positive, got {args.n}")
     prefixes = generate_prefixes(args.n, "T'").sentences

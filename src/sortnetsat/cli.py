@@ -100,6 +100,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     _check_output(args.output)
+    _check_output(args.catalog)
     task = SearchTask(args.n, args.d, args.s, _encode_options(args), _solver_config(args))
     catalog = ResultCatalog(args.catalog) if args.catalog else None
     res = run_task(task, catalog)
@@ -124,6 +125,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     _check_output(args.save_witness)
+    _check_output(args.catalog)
     mode = {
         "size": "min_size_given_depth",
         "depth": "min_depth_given_size",

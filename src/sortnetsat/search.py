@@ -452,6 +452,8 @@ def optimize(
         if mode == "min_size_given_depth":
             if depth is None:
                 raise ValueError("min_size_given_depth needs depth=")
+            if depth < 1:
+                raise ValueError(f"depth must be at least 1, got {depth}")
             return _min_size_at_depth(n, depth, level)
         if mode == "min_depth_given_size":
             if size is None:

@@ -4,6 +4,8 @@ A connected two-layer network is written as a *word* over {0,1,2}: walking
 the unique maximal path of the component, each channel contributes '0' if it
 is untouched by the first layer (a free channel), '2' if it is the lower
 endpoint of its first-layer comparator and '1' if it is the upper endpoint.
+The walk alternates between the layers; ``sentence_of`` spells each word
+from it, and ``net_of`` lays each word out along it.
 Components come in four shapes:
 
 * head  -- odd channel count, one free channel; the word starts with '0'.
@@ -142,39 +144,38 @@ def _layer_maps(net: Network) -> tuple[dict[int, int], dict[int, int]]:
     return maps[0], maps[1]
 
 
-def _read_component(
-    start: int, l1: dict[int, int], l2: dict[int, int], seen: set[int]
-) -> Word:
-    """Word of the component of ``start`` as read from ``start``, an end of
-    its path or any channel of a cycle; marks the channels seen."""
+def _walk(start: int, l1: dict[int, int], l2: dict[int, int]) -> tuple[list[int], bool]:
+    """Channels of the component of ``start`` in walk order, and whether the
+    walk closes into a cycle.  The walk alternates between the two layers,
+    so ``start`` is an end of its path or any channel of a cycle."""
     step, next_step = (l1, l2) if start in l1 else (l2, l1)
-    chars: list[str] = []
-    cur: int | None = start
-    while cur is not None and cur not in seen:
-        seen.add(cur)
-        chars.append("0" if cur not in l1 else "2" if cur < l1[cur] else "1")
-        cur = step.get(cur)
+    walk = [start]
+    cur = step.get(start)
+    while cur is not None and cur != start:
+        walk.append(cur)
         step, next_step = next_step, step
-    word = "".join(chars)
-    if cur is not None:  # back at the start: a cycle
-        return word + "c"
-    # a single comparator living only in layer 2 acts exactly like the
-    # one-comparator first-layer network, which already represents it
-    return "12" if word == "00" else word
+        cur = step.get(cur)
+    return walk, cur is not None
 
 
 def sentence_of(net: Network) -> Sentence:
     """Canonical sentence of a network with at most two layers."""
     l1, l2 = _layer_maps(net)
     channels = range(1, net.n + 1)
-    # each path is read from an end: a free channel if it has one, else a
+    # each path is walked from an end: a free channel if it has one, else a
     # channel without a layer-2 comparator; the channels left are on cycles
     ends = [c for c in channels if c not in l1] + [c for c in channels if c not in l2]
     seen: set[int] = set()
     words: list[Word] = []
     for c in ends + list(channels):
-        if c not in seen:
-            words.append(canonical_word(_read_component(c, l1, l2, seen)))
+        if c in seen:
+            continue
+        walk, cyclic = _walk(c, l1, l2)
+        seen.update(walk)
+        word = "".join(["0" if ch not in l1 else "2" if ch < l1[ch] else "1" for ch in walk])
+        # a single comparator living only in layer 2 acts exactly like the
+        # one-comparator first-layer network, which already represents it
+        words.append("12" if word == "00" else canonical_word(word + "c" * cyclic))
     return tuple(sorted(words))
 
 
@@ -187,40 +188,24 @@ def _word_comparators(
 ) -> tuple[list[Comparator], list[Comparator]]:
     """Comparators of the word's network on channels base+1..base+channels.
 
-    Free channels take the top of the block; first-layer comparators ladder
-    below them, and the path described by the word enters them bottom-up
-    ('2' names the lower endpoint of a pair, '1' the upper).
+    The word is laid out as the walk that spells it.  Free channels take the
+    first channels of the block, in walk order; the k-th first-layer comparator met on the
+    walk (k = 0, 1, ...) takes channels last-2k-1 for its '2' and last-2k for
+    its '1', where last is the block's last channel.
     """
     word_kind(word)  # validate
-    cyclic = word.endswith("c")
-    core = word[:-1] if cyclic else word
+    core = word.rstrip("c")
+    last = base + len(core)
     lead = core.startswith("0")
-    trail = lead and len(core) > 1 and core.endswith("0")
-    inner = core[1 if lead else 0 : len(core) - (1 if trail else 0)]
-    nfree = int(lead) + int(trail)
-    m = len(inner) // 2
-    pairs = [
-        (base + nfree + 2 * k + 1, base + nfree + 2 * k + 2) for k in range(m)
+    walk = [
+        base + 1 + (p > 0) if ch == "0" else last - 2 * ((p - lead) // 2) - (ch == "2")
+        for p, ch in enumerate(core)
     ]
-
-    def endpoint(pair: Comparator, ch: str) -> int:
-        return pair[0] if ch == "2" else pair[1]
-
-    enters = [endpoint(pairs[m - 1 - j], inner[2 * j]) for j in range(m)]
-    exits = [endpoint(pairs[m - 1 - j], inner[2 * j + 1]) for j in range(m)]
-
-    def std(a: int, b: int) -> Comparator:
-        return (a, b) if a < b else (b, a)
-
-    layer2: list[Comparator] = []
-    if lead and m:
-        layer2.append(std(base + 1, enters[0]))
-    layer2.extend(std(exits[j], enters[j + 1]) for j in range(m - 1))
-    if trail:
-        layer2.append(std(exits[m - 1], base + 2))
-    if cyclic:
-        layer2.append(std(exits[m - 1], enters[0]))
-    return pairs, layer2
+    if word.endswith("c"):
+        walk.append(walk[0])  # a cycle's closing step
+    steps = [(min(a, b), max(a, b)) for a, b in zip(walk, walk[1:])]
+    # the walk alternates layers and leaves a free channel in layer 2
+    return steps[lead::2], steps[1 - lead :: 2]
 
 
 def net_of(sentence: Sentence) -> Network:

@@ -160,6 +160,14 @@ def test_optimize_pareto_prints_its_witnesses(tmp_path, capsys):
         (["render", "net.json", "-o", "nodir/net.svg"],
          "cannot write nodir/net.svg: no directory nodir"),
         (["render", "net.json", "-o", "."], "cannot write .: it is a directory"),
+        (["solve", "4", "3", "5", "--backend", "builtin", "--catalog", "."],
+         "cannot write .: it is a directory"),
+        (["solve", "4", "3", "5", "--backend", "builtin", "--catalog", "nodir/c.jsonl"],
+         "cannot write nodir/c.jsonl: no directory nodir"),
+        (["optimize", "4", "--mode", "size", "--depth", "3", "--backend", "builtin",
+          "--catalog", "."], "cannot write .: it is a directory"),
+        (["optimize", "4", "--mode", "size", "--depth", "3", "--backend", "builtin",
+          "--catalog", "nodir/c.jsonl"], "cannot write nodir/c.jsonl: no directory nodir"),
         (["encode", "4", "3", "5", "--all-inputs"], "unrecognized arguments: --all-inputs"),
         (["solve", "4", "3", "5", "--solver", "x"], "unrecognized arguments: --solver x"),
     ],
@@ -169,7 +177,9 @@ def test_optimize_pareto_prints_its_witnesses(tmp_path, capsys):
          "no-timeout", "verify-missing-file", "render-missing-file", "verify-non-json",
          "verify-no-layers", "render-no-layers", "verify-comparator-out-of-range",
          "solve-output-dir", "encode-output-dir", "encode-map-dir", "optimize-witness-dir",
-         "render-output-dir", "render-output-is-a-directory", "encode-all-inputs",
+         "render-output-dir", "render-output-is-a-directory", "solve-catalog-is-a-directory",
+         "solve-catalog-dir", "optimize-catalog-is-a-directory", "optimize-catalog-dir",
+         "encode-all-inputs",
          "solve-solver-flag"],
 )
 def test_input_errors_are_reported_without_a_traceback(tmp_path, monkeypatch, capsys,

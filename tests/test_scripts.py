@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from sortnetsat.solving import SOLVER_ENV_VAR
 from tests.test_acceptance import PREFIX_TABLE
 
@@ -41,6 +43,34 @@ def test_reproduce_small_optima_proves_the_frontiers(external_cfg, tmp_path, mon
         "n=3: frontier (d=3, s=3) [proven]",
         "n=4: frontier (d=3, s=5) [proven]",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--min-n", "1"), "--min-n must be at least 2, got 1"),
+        (("--min-n", "5", "--max-n", "4"), "--max-n must be at least --min-n (5), got 4"),
+        (("--timeout", "0"), "--timeout must be positive, got 0"),
+        (("--catalog", "."), "cannot write .: it is a directory"),
+        (("--catalog", "nodir/optima.jsonl"),
+         "cannot write nodir/optima.jsonl: no directory nodir"),
+    ],
+    ids=["one-channel", "empty-range", "no-timeout", "catalog-is-a-directory", "catalog-dir"],
+)
+def test_reproduce_small_optima_rejects_bad_arguments(tmp_path, monkeypatch, capsys, argv,
+                                                      message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sortnetsat.solving.default_config", unreachable)
+    monkeypatch.setattr("sortnetsat.search.optimize", unreachable)
+    with pytest.raises(SystemExit) as exc:
+        _run(monkeypatch, capsys, "reproduce_small_optima.py", *argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"reproduce_small_optima.py: error: {message}" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())  # no catalog was written
 
 
 # the benchmark's traced run patches the program's functions by name

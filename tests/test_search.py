@@ -361,6 +361,7 @@ def test_level_runs_refuse_fewer_than_one_job(builtin_cfg, catalog):
         (1, "pareto", {}, "need n >= 2"),
         (4, "min_size_given_depth", {}, "min_size_given_depth needs depth="),
         (4, "min_depth_given_size", {}, "min_depth_given_size needs size="),
+        (4, "min_size_given_depth", {"depth": 0}, "depth must be at least 1, got 0"),
         (4, "size", {}, "unknown mode 'size'"),
         (4, "pareto", {"prefixes": "tprim"}, "unknown prefixes 'tprim'"),
     ]:

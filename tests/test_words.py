@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations
 
@@ -132,6 +133,26 @@ def test_net_of_head_word():
 
 def test_net_of_tail_word():
     assert net_of(("0120",)).layers == (((3, 4),), ((1, 4), (2, 3)))
+
+
+def test_net_of_layout_is_pinned():
+    # where net_of puts each channel, for every canonical word on at most 12
+    # channels and for every prefix of T'_12; the prefix networks are what
+    # the encoder pins, so a change here changes the DIMACS of every prefix
+    def digest(lines):
+        return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+    pool = words._word_pool(12)
+    assert len(pool) == 189
+    assert digest(w + " " + net_of((w,)).to_json() + "\n" for w in pool) == (
+        "61d320265a67df69e3ec97b8048412df99df17b3a2660f2ff94e2f66a0b10670"
+    )
+    prefixes = generate_prefixes(12, "T'").sentences
+    assert len(prefixes) == 786
+    assert digest(format_sentence(s) + " " + net_of(s).to_json() + "\n"
+                  for s in prefixes) == (
+        "c7a04df44dc581ccd23cc463b6af18e1183f4e252e1da4a1ef10e539b58f2e2e"
+    )
 
 
 def test_net_of_rejects_malformed():
