@@ -3,7 +3,9 @@
 The C source ships with the package and is compiled once into a cache
 directory; the resulting binary speaks the same DIMACS-file / competition
 output protocol as any mainstream solver, so it plugs into the external
-backend unchanged.
+backend unchanged.  It also reads the template lines of
+``solving.write_minicdcl``, which ``solving.solve`` writes for it alone: it
+tells the binary by the path ``binary_path`` computes.
 """
 
 from __future__ import annotations
@@ -33,6 +35,14 @@ def compiler() -> str | None:
     return shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
 
 
+def binary_path() -> str:
+    """The path ``ensure_built`` compiles the current source and ``CFLAGS``
+    to, whether or not that binary exists yet."""
+    key = b"\0".join([_SOURCE.read_bytes(), *map(str.encode, CFLAGS)])
+    tag = hashlib.sha256(key).hexdigest()[:16]
+    return str(cache_dir() / f"minicdcl-{tag}")
+
+
 def ensure_built(quiet: bool = False) -> str | None:
     """Compile the bundled solver if needed; returns the binary path, or None
     when no C compiler is available."""
@@ -41,9 +51,7 @@ def ensure_built(quiet: bool = False) -> str | None:
         if not quiet:
             raise RuntimeError("no C compiler found; set SORTNETSAT_SOLVER instead")
         return None
-    key = b"\0".join([_SOURCE.read_bytes(), *map(str.encode, CFLAGS)])
-    tag = hashlib.sha256(key).hexdigest()[:16]
-    out = cache_dir() / f"minicdcl-{tag}"
+    out = Path(binary_path())
     if out.exists():
         return str(out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -25,6 +25,32 @@
  * would drop the clauses read before it.  A last clause without its 0 is
  * kept, a tautology is dropped and a repeated literal is kept once.
  *
+ * Besides clauses, the loader reads two line kinds that let a file state
+ * a template of clauses once and apply it to other blocks of variables:
+ *   - "b K START WIDTH N" starts template K: the N clauses after it are
+ *     read and committed as usual, and their literals are also kept as
+ *     written, before the commit drops a tautology or a repeated literal.
+ *     The variables START .. START + WIDTH - 1 form the template's block;
+ *   - "r K START2" applies template K to the block that starts at START2:
+ *     its kept clauses go, in order, through the same commit as a clause
+ *     read from the file, each variable of its block moved by START2 -
+ *     START, and every other variable kept.
+ * A writer that names each template's block so that no other variable of
+ * its clauses falls in it (sortnetsat.solving.write_minicdcl does) makes
+ * an "r" line stand for exactly the clauses that plain DIMACS would spell
+ * out in its place.  The commit sees the same clauses in the same order in
+ * both forms, so it builds the same clause store and watch lists, and the
+ * search, with every decision, conflict and model, and the output are the
+ * same.
+ * The loader dies with a message, exit code 1, on a "b" or "r" line before
+ * the p line, inside a clause or among a template's N clauses; a reference
+ * to a template not yet complete (undefined, or the one being read); a
+ * template number defined twice or not below MAX_TEMPLATES; a block that
+ * does not lie within 1 .. VARS (an empty block may start at VARS + 1); a
+ * file that ends inside a template; and, in a file that holds either line
+ * kind, a clause count, read and applied, other than the p line's.  Plain
+ * DIMACS keeps its leniency about that count.
+ *
  * Propagation follows the cache-conscious layout of Chu, Harwood & Stuckey
  * (JSAT 2009), in four ways that leave the search unchanged:
  *   - literal codes: inside the solver the literal v is 2v and -v is 2v+1, so
@@ -494,7 +520,7 @@ static int luby(int x) {
     return seq;
 }
 
-/* ---------------- DIMACS ---------------- */
+/* ---------------- DIMACS and templates ---------------- */
 static char *read_all(const char *path, long *len) {
     FILE *f = fopen(path, "rb");
     if (!f) die("cannot open input file");
@@ -513,6 +539,19 @@ static int *lit_stamp = NULL;
 static int stamp_gen = 0;
 
 static int root_conflict = 0;
+
+#define MAX_TEMPLATES 65536 /* template numbers run from 0 to this - 1 */
+
+/* a template: the clauses after its "b" line, kept as read */
+typedef struct {
+    int start, width; /* its block: the variables start .. start + width - 1 */
+    int clauses;      /* N, its clause count */
+    int from, to;     /* its literal codes in tlits, each clause ended by a 0 */
+    int defined;      /* all N clauses are read */
+} tmpl;
+
+static tmpl templates[MAX_TEMPLATES];
+static vec tlits;
 
 static void commit_clause(vec *cl) {
     if (root_conflict) return;
@@ -538,6 +577,22 @@ static void commit_clause(vec *cl) {
         return;
     }
     add_clause_raw(cl->data, m, 0, 0);
+}
+
+/* commits the clauses of t over the block that starts at start, each
+ * variable of t's block shifted by the same distance */
+static void replay(const tmpl *t, int start, vec *cl) {
+    int lo = POS(t->start), hi = POS(t->start + t->width);
+    int shift = POS(start - t->start);
+    for (int i = t->from; i < t->to; i++) {
+        int l = tlits.data[i];
+        if (l == 0) {
+            commit_clause(cl);
+            cl->sz = 0;
+        } else {
+            vpush(cl, l >= lo && l < hi ? l + shift : l);
+        }
+    }
 }
 
 static void alloc_state(int nv) {
@@ -608,9 +663,9 @@ static char *skip_blanks(char *p) {
     return p;
 }
 
-/* reads the line "p cnf VARS CLAUSES" at *pp, up to its newline, and
- * returns VARS */
-static int read_header(char **pp) {
+/* reads the line "p cnf VARS CLAUSES" at *pp, up to its newline; returns
+ * VARS and sets *nc_out to CLAUSES */
+static int read_header(char **pp, int *nc_out) {
     char *p = skip_blanks(*pp + 1);
     if (strncmp(p, "cnf", 3) != 0) die("bad p line");
     p = skip_blanks(p + 3);
@@ -621,7 +676,17 @@ static int read_header(char **pp) {
     p = skip_blanks(p);
     if (nv < 0 || nc < 0 || (*p && *p != '\n')) die("bad p line");
     *pp = p;
+    *nc_out = nc;
     return nv;
+}
+
+/* the number after the blanks at *pp, with *pp moved past it; dies when
+ * there is none, and with msg when it exceeds max */
+static int template_field(char **pp, int max, const char *msg) {
+    *pp = skip_blanks(*pp);
+    int v = read_number(pp, max, msg);
+    if (v < 0) die("bad template line");
+    return v;
 }
 
 int main(int argc, char **argv) {
@@ -631,6 +696,11 @@ int main(int argc, char **argv) {
     char *buf = read_all(argv[1], &len);
     char *p = buf;
     int declared_vars = -1; /* until the p line */
+    int declared_clauses = 0;
+    long long clauses_read = 0; /* read, and applied by "r" lines */
+    int uses_templates = 0;
+    tmpl *reading = NULL; /* the template whose clauses are being read */
+    int left = 0;         /* how many of them are still to come */
     vec cl = {0, 0, NULL};
     while (*p) {
         char ch = *p;
@@ -644,8 +714,38 @@ int main(int argc, char **argv) {
         }
         if (ch == 'p') {
             if (declared_vars >= 0) die("second p line");
-            declared_vars = read_header(&p);
+            declared_vars = read_header(&p, &declared_clauses);
             alloc_state(declared_vars);
+            continue;
+        }
+        if (ch == 'b' || ch == 'r') {
+            if (declared_vars < 0) die("template line before p line");
+            if (cl.sz) die("template line inside a clause");
+            if (reading) die("template line inside a template");
+            const char *outside = "template block outside declared vars";
+            p++;
+            tmpl *t = &templates[template_field(&p, MAX_TEMPLATES - 1,
+                                                "template number beyond the limit")];
+            int start = template_field(&p, declared_vars + 1, outside);
+            int width = ch == 'b' ? template_field(&p, declared_vars + 1, outside) : t->width;
+            int n = ch == 'b' ? template_field(&p, INT_MAX, "bad template line") : 0;
+            p = skip_blanks(p);
+            if (*p && *p != '\n') die("bad template line");
+            if (ch == 'b' && t->defined) die("template defined twice");
+            if (ch == 'r' && !t->defined) die("undefined template");
+            if (start < 1 || (long long)start + width - 1 > declared_vars) die(outside);
+            uses_templates = 1;
+            if (ch == 'r') {
+                replay(t, start, &cl);
+                clauses_read += t->clauses;
+                continue;
+            }
+            t->start = start;
+            t->width = width;
+            t->clauses = left = n;
+            t->from = t->to = tlits.sz;
+            t->defined = n == 0;
+            reading = n ? t : NULL;
             continue;
         }
         if (declared_vars < 0) die("clause before p line");
@@ -653,15 +753,32 @@ int main(int argc, char **argv) {
         int v = read_number(&p, declared_vars, "literal beyond declared vars");
         if (v < 0) die("cannot parse literal");
         if (v == 0) {
+            if (reading) {
+                for (int i = 0; i < cl.sz; i++) vpush(&tlits, cl.data[i]);
+                vpush(&tlits, 0);
+                if (--left == 0) {
+                    reading->to = tlits.sz;
+                    reading->defined = 1;
+                    reading = NULL;
+                }
+            }
             commit_clause(&cl);
             cl.sz = 0;
+            clauses_read++;
         } else {
             vpush(&cl, ch == '-' ? NEG(POS(v)) : POS(v));
         }
     }
-    if (cl.sz) commit_clause(&cl); /* unterminated final clause */
+    if (reading) die("file ends inside a template");
+    if (cl.sz) { /* unterminated final clause */
+        commit_clause(&cl);
+        clauses_read++;
+    }
     free(buf);
+    free(tlits.data);
     if (declared_vars < 0) die("missing p line");
+    if (uses_templates && clauses_read != declared_clauses)
+        die("clause count differs from the p line");
 
     if (root_conflict || propagate() != -1) return finish(0);
 

@@ -24,10 +24,14 @@ A formula keeps those copies as references: its store (``CnfFormula``)
 holds, in DIMACS order, plain lists of literals, each clause ended by a 0,
 and ``(template, block)`` pairs that stand for a template's clauses over one
 block of ids: an input's value chain, or the counter's auxiliaries.  No
-literal of a copied clause is ever made.  Readers map every store entry
-through a table indexed by literal (the DIMACS text of each literal, its
-truth under a model, or the literal itself), and a template part through its
-own itemgetter over the table's values for its constants and block.
+literal of a copied clause is ever made.  Its one reader, ``runs``, maps
+every store entry through a table indexed by literal (the DIMACS text of
+each literal, its truth under a model, or the literal itself), and a
+template part through its own itemgetter over the table's values for its
+constants and block.  For the file the bundled solver reads, ``runs`` also
+tells a template's first application from a repeat: it marks the first, and
+stands for each repeat by one short run that names the template and the
+block, without reading the template's clauses (``solving.write_minicdcl``).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import itemgetter, neg
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from sortnetsat import cardinality
 from sortnetsat.networks import Bits, Network, all_inputs, is_sorted_bits, unsorted_outputs
@@ -100,7 +104,9 @@ class CnfFormula:
     def clauses(self) -> _Clauses:
         return _Clauses(self)
 
-    def runs(self, table, checked: bool = True) -> Iterator[tuple]:
+    def runs(
+        self, table, checked: bool = True, refer: Callable[..., tuple] | None = None
+    ) -> Iterator[tuple]:
         """``table[e]`` for every store entry e, in order, in runs of whole
         clauses: a template part is one run, a plain part runs of ``CHUNK``
         entries or a few more, since no clause is split.
@@ -109,14 +115,31 @@ class CnfFormula:
         is: a clause's 0 reads ``table[0]`` and a negative literal counts from
         the end.  When ``checked``, a literal beyond num_vars raises
         ValueError before the run that holds it is yielded; the check reads
-        each plain run, and the constants and block of each template part."""
+        each plain run, and the constants and block of each template part.
+
+        With ``refer``, templates are numbered 0, 1, ... in the order they
+        are first yielded whole.  That first application is preceded by the
+        run ``refer(k, block, num_clauses)``, and every later application of
+        template k is the run ``refer(k, block, None)`` alone, its clauses
+        unread.  An application whose block holds one of the template's
+        constants is never the first: renaming that block's ids in its
+        clauses would rename the constant too."""
         nv = self.num_vars
+        numbers: dict[_Template, int] = {}
         for part in self.parts:
             if type(part) is tuple:
                 template, block = part
                 a, b = block.start, block.stop
                 if checked and (template.reach > nv or b > nv + 1):
                     raise ValueError("literal beyond num_vars")
+                if refer is not None:
+                    k = numbers.get(template)
+                    if k is not None:
+                        yield refer(k, block, None)
+                        continue
+                    if not any(abs(c) in block for c in template.constants):
+                        numbers[template] = k = len(numbers)
+                        yield refer(k, block, template.num_clauses)
                 head = [table[c] for c in template.constants]
                 yield template.get(head + table[a:b] + table[-a:-b:-1])
                 continue

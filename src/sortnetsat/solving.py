@@ -2,7 +2,12 @@
 
 Two backends: ``builtin`` runs the bundled DPLL in-process; ``external`` runs
 any command that reads a DIMACS file and prints SAT-competition output
-(``s SATISFIABLE`` / ``s UNSATISFIABLE`` plus ``v`` model lines).  A timeout
+(``s SATISFIABLE`` / ``s UNSATISFIABLE`` plus ``v`` model lines).  Every
+external solver gets plain DIMACS (``write_dimacs``), except the bundled
+``minicdcl``, recognised by the path ``csolver.binary_path`` gives for it:
+it gets each clause template of the formula once, and a one-line reference
+for every later application (``write_minicdcl``).  It reads the same clauses
+in the same order from either file.  A timeout
 yields UNKNOWN, which is never conflated with UNSAT: the external solver is
 sent SIGTERM and given ``STOP_GRACE`` seconds to print its counters before it
 is killed.  Solver crashes and unparsable output raise instead.  SAT models
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TextIO
 
-from sortnetsat import dpll
+from sortnetsat import csolver, dpll
 from sortnetsat.encoding import CnfFormula, VarMap
 from sortnetsat.networks import Network
 
@@ -78,14 +83,38 @@ def write_dimacs(formula: CnfFormula, fh: TextIO) -> None:
     """Write the DIMACS text of ``formula`` to ``fh``, a run at a time (see
     ``CnfFormula.runs``).  A literal beyond num_vars raises ValueError; the
     runs before the one holding it have been written by then."""
+    _write(formula, fh, None)
+
+
+def write_minicdcl(formula: CnfFormula, fh: TextIO) -> None:
+    """Write the text the bundled ``minicdcl`` reads for ``formula``: the
+    DIMACS text of ``write_dimacs``, except that each template the formula
+    applies is sent once.  Its first application is preceded by the line
+    ``b K START WIDTH N`` (template K: the N clauses that follow, over the
+    block of ids START .. START + WIDTH - 1), and every later application is
+    the line ``r K START`` in place of its clauses.  The solver turns each
+    ``r`` line back into the clauses it stands for, so it reads the same
+    clauses in the same order.  Other solvers read ``write_dimacs``.  A
+    literal beyond num_vars raises ValueError, as there."""
+    _write(formula, fh, _template_line)
+
+
+def _template_line(k: int, block: range, num_clauses: int | None) -> tuple[str]:
+    if num_clauses is None:
+        return (f"r {k} {block.start}\n",)
+    return (f"b {k} {block.start} {len(block)} {num_clauses}\n",)
+
+
+def _write(formula: CnfFormula, fh: TextIO, refer) -> None:
     nv = formula.num_vars
     fh.write(f"p cnf {nv} {formula.num_clauses}\n")
     # the text of each entry: a literal with a space after it; a clause's 0
     # ends its line instead
-    text = ["0\n", *(f"{v} " for v in range(1, nv + 1)), *(f"-{v} " for v in range(nv, 0, -1))]
+    pos = [f"{v} " for v in range(1, nv + 1)]
+    text = ["0\n", *pos, *["-" + t for t in reversed(pos)]]
     # num_vars is set by the encoder, not derived from the clauses, and
     # hand-built formulas reach here too: runs checks the range
-    for run in formula.runs(text):
+    for run in formula.runs(text, refer=refer):
         fh.write("".join(run))
 
 
@@ -175,15 +204,17 @@ def _solve_external(
     """Status, model and counters from the external solver, and the seconds
     taken until the formula was written."""
     t0 = time.perf_counter()
+    template = shlex.split(config.command)
+    # only the bundled solver reads template lines; the path tells it apart
+    write = write_minicdcl if template[:1] == [csolver.binary_path()] else write_dimacs
     # a fresh directory per call: concurrent solves must never hand a solver
     # each other's formula
     with tempfile.TemporaryDirectory(prefix="sortnetsat-") as tmp:
         workdir = Path(tmp)
         cnf_path = workdir / "instance.cnf"
         with cnf_path.open("w") as fh:
-            write_dimacs(formula, fh)
+            write(formula, fh)
         emit_s = time.perf_counter() - t0
-        template = shlex.split(config.command)
         argv = [a.replace("{cnf}", str(cnf_path)) for a in template]
         if not any("{cnf}" in a for a in template):
             argv.append(str(cnf_path))
@@ -255,8 +286,6 @@ def default_config(timeout: float = 3600.0) -> SolverConfig:
     env = os.environ.get(SOLVER_ENV_VAR)
     if env:
         return SolverConfig("external", env, timeout)
-    from sortnetsat import csolver
-
     binary = csolver.ensure_built(quiet=True)
     if binary:
         return SolverConfig("external", f"{binary} {{cnf}}", timeout)

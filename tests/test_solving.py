@@ -3,6 +3,7 @@ import io
 import os
 import random
 import re
+import shlex
 import subprocess
 import tempfile
 import threading
@@ -27,8 +28,9 @@ from sortnetsat.solving import (
     parse_solver_output,
     solve,
     write_dimacs,
+    write_minicdcl,
 )
-from sortnetsat.words import parse_sentence
+from sortnetsat.words import generate_prefixes, parse_sentence
 
 
 def formula(num_vars, clauses):
@@ -74,9 +76,9 @@ def test_emit_dimacs_matches_reference_on_random_formulas():
         assert emit_dimacs(f) == _reference_dimacs(f)
 
 
-def _written(f):
+def _written(f, write=write_dimacs):
     out = io.StringIO()
-    write_dimacs(f, out)
+    write(f, out)
     return out.getvalue()
 
 
@@ -139,17 +141,95 @@ def test_write_dimacs_checks_each_template_application(chain_template):
     # the chain's largest constant is the last channel-used flag, beyond the
     # blocks of the first three inputs
     assert chain.reach > vm.block(xs[2]).stop - 1
-    assert _written(_templated(vm, xs, chain, chain.reach)).startswith(f"p cnf {chain.reach} ")
-    for num_vars in (chain.reach - 1, vm.block(xs[2]).stop - 2):
+    # both writers check every application, also one written as an "r" line
+    for write in (write_dimacs, write_minicdcl):
+        text = _written(_templated(vm, xs, chain, chain.reach), write)
+        assert text.startswith(f"p cnf {chain.reach} ")
+        for num_vars in (chain.reach - 1, vm.block(xs[2]).stop - 2):
+            with pytest.raises(ValueError, match="literal beyond num_vars"):
+                _written(_templated(vm, xs, chain, num_vars), write)
+        # a block beyond num_vars, though every constant is within it
+        f = CnfFormula(chain.reach)
+        f.add_template(chain, vm.block(xs[3]))
         with pytest.raises(ValueError, match="literal beyond num_vars"):
-            _written(_templated(vm, xs, chain, num_vars))
-    # a block beyond num_vars, though every constant is within it
-    f = CnfFormula(chain.reach)
+            _written(f, write)
+        f.num_vars = vm.num_vars
+        assert _expand(_written(f, write)) == _reference_dimacs(f)
+        # only the second application, a repeat, reaches beyond num_vars
+        f = CnfFormula(vm.num_vars - 1)
+        f.add_template(chain, vm.block(xs[1]))
+        f.add_template(chain, vm.block(xs[3]))
+        with pytest.raises(ValueError, match="literal beyond num_vars"):
+            _written(f, write)
+
+
+def _expand(text):
+    """The DIMACS text that ``write_minicdcl``'s text stands for, read
+    without the solver: each "r K START" line becomes the clauses after the
+    line "b K FIRST WIDTH N", with every variable of FIRST .. FIRST + WIDTH - 1
+    moved by START - FIRST.  The "b" lines themselves go."""
+    lines = text.splitlines(keepends=True)
+    out, templates = [], {}
+    at = 0
+    while at < len(lines):
+        words = lines[at].split()
+        at += 1
+        if words[0] == "b":
+            k, first, width, count = map(int, words[1:])
+            templates[k] = (first, width, lines[at:at + count])
+        elif words[0] == "r":
+            k, start = map(int, words[1:])
+            first, width, clauses = templates[k]
+
+            def moved(lit):
+                var = abs(lit)
+                var += start - first if first <= var < first + width else 0
+                return var if lit > 0 else -var
+
+            out += [" ".join(str(moved(int(w))) for w in c.split()[:-1]) + " 0\n"
+                    for c in clauses]
+        else:
+            out.append(lines[at - 1])
+    return "".join(out)
+
+
+def test_write_minicdcl_stands_for_the_dimacs_text(chain_template):
+    """Formulas that apply templates more than once, written with reference
+    lines and expanded again by ``_expand``, give ``emit_dimacs``'s text: the
+    chain template, an empty template (which may start one past num_vars), a
+    block that ends at num_vars, a template whose first application holds one
+    of its constants in its block, and encoder instances."""
+    vm, xs, chain = chain_template
+    f = _templated(vm, xs, chain, vm.num_vars)
     f.add_template(chain, vm.block(xs[3]))
-    with pytest.raises(ValueError, match="literal beyond num_vars"):
-        _written(f)
-    f.num_vars = vm.num_vars
-    assert _written(f) == _reference_dimacs(f)
+    assert vm.block(xs[3]).stop == vm.num_vars + 1
+    empty = encoding._Template([], range(1, 1))
+    for block in (range(2, 2), range(vm.num_vars + 1, vm.num_vars + 1)):
+        f.add_template(empty, block)
+    text = _written(f, write_minicdcl)
+    assert [line for line in text.splitlines() if line[0] in "br"] == [
+        f"b 0 {vm.block(xs[1]).start} {len(vm.block(xs[1]))} {chain.num_clauses}",
+        f"r 0 {vm.block(xs[2]).start}",
+        f"r 0 {vm.block(xs[3]).start}",
+        "b 1 2 0 0",
+        f"r 1 {vm.num_vars + 1}",
+    ]
+    assert _expand(text) == emit_dimacs(f) == _reference_dimacs(f)
+    # the constant 5 lies in the first block, so that application is spelled
+    # out and the next one is the template's "b"
+    shared = encoding._Template([1, -5, 0, 2, 0], range(1, 3))
+    assert shared.constants == [-5, 0]
+    f = CnfFormula(11)
+    for start in (4, 7, 10):
+        f.add_template(shared, range(start, start + 2))
+    text = _written(f, write_minicdcl)
+    assert text == "p cnf 11 6\n4 -5 0\n5 0\nb 0 7 2 2\n7 -5 0\n8 0\nr 0 10\n"
+    assert _expand(text) == emit_dimacs(f) == _reference_dimacs(f)
+    for n, d, s, prefix in [(4, 3, 5, None), (5, 5, 9, None), (6, 5, 12, "(0,0,1212)")]:
+        options = EncodeOptions().with_prefix(parse_sentence(prefix) if prefix else None)
+        f, _ = build_instance(n, d, s, options)
+        text = _written(f, write_minicdcl)
+        assert "\nr " in text and _expand(text) == emit_dimacs(f), (n, d, s, prefix)
 
 
 def _satisfies(f, model):
@@ -222,6 +302,38 @@ def test_parse_solver_output():
         parse_solver_output("s SATISFIABLE\nv 1 x 0")
 
 
+def _through_each_writer(monkeypatch, command):
+    """``command`` twice: first with its program taken for another solver,
+    so that ``solve`` writes it plain DIMACS, even when it is the bundled
+    solver, then taken for the bundled solver, so that it writes reference
+    lines."""
+    for program in (None, shlex.split(command)[0]):
+        monkeypatch.setattr(csolver, "binary_path", lambda program=program: program)
+        yield command
+
+
+def test_solve_writes_reference_lines_only_for_the_bundled_solver(
+    tmp_path, monkeypatch, bundled_solver
+):
+    # a stand-in solver that keeps a copy of the file it was given
+    copy = tmp_path / "copy.cnf"
+    script = tmp_path / "copysolver.sh"
+    script.write_text(f'#!/bin/sh\ncp "$1" "{copy}"\necho s UNSATISFIABLE\n')
+    script.chmod(0o755)
+    f, _ = build_instance(4, 3, 5)
+    for command in (f"sh {script}", f"{script} {{cnf}}"):
+        assert solve(f, SolverConfig("external", command, timeout=10)).status == UNSAT
+        text = copy.read_text()
+        assert text == emit_dimacs(f)
+        assert not any(line[0] in "br" for line in text.splitlines())
+    # the same script at the bundled solver's path gets reference lines
+    monkeypatch.setattr(csolver, "binary_path", lambda: str(script))
+    assert solve(f, SolverConfig("external", f"{script} {{cnf}}", timeout=10)).status == UNSAT
+    assert copy.read_text() == _written(f, write_minicdcl) != emit_dimacs(f)
+    monkeypatch.undo()
+    assert csolver.binary_path() == bundled_solver
+
+
 def test_external_bad_literal_is_an_error(tmp_path):
     script = tmp_path / "garbage.sh"
     script.write_text("echo s SATISFIABLE\necho v 1 -2 garbage 0\n")
@@ -244,12 +356,12 @@ def test_builtin_times_out():
     assert solve(f, cfg).status == UNKNOWN
 
 
-def test_external_times_out(external_cfg):
+def test_external_times_out(external_cfg, monkeypatch):
     f, _ = build_instance(8, 6, 18)  # hard enough not to finish instantly
-    cfg = SolverConfig("external", external_cfg.command, timeout=0.2)
-    out = solve(f, cfg)
-    # the solver prints its counters when it is terminated
-    assert out.status == UNKNOWN and "conflicts" in out.stats
+    for command in _through_each_writer(monkeypatch, external_cfg.command):
+        out = solve(f, SolverConfig("external", command, timeout=0.2))
+        # the solver prints its counters when it is terminated
+        assert out.status == UNKNOWN and "conflicts" in out.stats
 
 
 def test_external_timeout_stays_unknown_and_kills_a_solver_ignoring_sigterm(
@@ -263,22 +375,26 @@ def test_external_timeout_stays_unknown_and_kills_a_solver_ignoring_sigterm(
         "trap 'kill $!; echo c conflicts 7; echo s UNSATISFIABLE; exit 20' TERM\n"
         "sleep 30 >/dev/null 2>&1 &\nwait\n"
     )
-    out = solve(f, SolverConfig("external", f"sh {liar}", timeout=0.5))
-    assert out.status == UNKNOWN and out.model is None and out.stats == {"conflicts": 7}
+    for command in _through_each_writer(monkeypatch, f"sh {liar}"):
+        out = solve(f, SolverConfig("external", command, timeout=0.5))
+        assert out.status == UNKNOWN and out.model is None and out.stats == {"conflicts": 7}
     stubborn = tmp_path / "stubborn.sh"
     stubborn.write_text("trap '' TERM; exec sleep 30\n")
-    t0 = time.monotonic()
-    out = solve(f, SolverConfig("external", f"sh {stubborn}", timeout=0.5))
-    assert out.status == UNKNOWN and out.stats == {}
-    assert time.monotonic() - t0 < 0.5 + solving.STOP_GRACE + 2
+    for command in _through_each_writer(monkeypatch, f"sh {stubborn}"):
+        t0 = time.monotonic()
+        out = solve(f, SolverConfig("external", command, timeout=0.5))
+        assert out.status == UNKNOWN and out.stats == {}
+        assert time.monotonic() - t0 < 0.5 + solving.STOP_GRACE + 2
 
 
-def test_external_crash_is_an_error():
+def test_external_crash_is_an_error(monkeypatch):
     f = formula(1, [(1,)])
-    with pytest.raises(SolverBackendError):
-        solve(f, SolverConfig("external", "echo not-a-solver-answer", timeout=10))
-    with pytest.raises(SolverBackendError):
-        solve(f, SolverConfig("external", "/nonexistent/solver {cnf}", timeout=10))
+    for command in _through_each_writer(monkeypatch, "echo not-a-solver-answer"):
+        with pytest.raises(SolverBackendError):
+            solve(f, SolverConfig("external", command, timeout=10))
+    for command in _through_each_writer(monkeypatch, "/nonexistent/solver {cnf}"):
+        with pytest.raises(SolverBackendError):
+            solve(f, SolverConfig("external", command, timeout=10))
 
 
 def test_builtin_bad_model_is_an_error(monkeypatch):
@@ -289,12 +405,21 @@ def test_builtin_bad_model_is_an_error(monkeypatch):
         solve(formula(1, [(1,)]), SolverConfig("builtin", timeout=10))
 
 
-def test_external_bad_model_is_an_error(tmp_path):
+def test_external_bad_model_is_an_error(tmp_path, monkeypatch, chain_template):
     script = tmp_path / "liar.sh"
+    liar = tmp_path / "liar-on-a-template.sh"
     script.write_text("echo s SATISFIABLE\necho v -1 0\n")
-    cfg = SolverConfig("external", f"sh {script}", timeout=10)
-    with pytest.raises(SolverBackendError, match=re.escape(f"'sh {script}' does not satisfy")):
-        solve(formula(1, [(1,)]), cfg)
+    # a model that breaks the first clause, (-1, 2), of a formula that
+    # repeats a template
+    liar.write_text("echo s SATISFIABLE\necho v 1 0\n")
+    vm, xs, chain = chain_template
+    for command in _through_each_writer(monkeypatch, f"sh {script}"):
+        cfg = SolverConfig("external", command, timeout=10)
+        with pytest.raises(SolverBackendError, match=re.escape(f"'sh {script}' does not satisfy")):
+            solve(formula(1, [(1,)]), cfg)
+    for command in _through_each_writer(monkeypatch, f"sh {liar}"):
+        with pytest.raises(SolverBackendError, match="does not satisfy"):
+            solve(_templated(vm, xs, chain, vm.num_vars), SolverConfig("external", command, 10))
 
 
 def test_shared_workdir_gives_each_solve_its_own_file(tmp_path, monkeypatch):
@@ -429,6 +554,9 @@ def test_default_config_honours_environment(monkeypatch):
     cfg = default_config(timeout=5)
     # bundled solver when a compiler exists, builtin otherwise; never crashes
     assert cfg.backend in ("external", "builtin")
+    if cfg.backend == "external":
+        # the path solve recognises the bundled solver by
+        assert shlex.split(cfg.command)[0] == csolver.binary_path()
 
 
 needs_cc = pytest.mark.skipif(csolver.compiler() is None, reason="no C compiler")
@@ -509,11 +637,50 @@ def test_bundled_solver_search_is_pinned(bundled_solver, tmp_path):
         f, _ = build_instance(n, d, s, options)
         with cnf.open("w") as fh:
             write_dimacs(f, fh)
-        lines = _run_bundled(bundled_solver, cnf).stdout.splitlines()
+        plain = _run_bundled(bundled_solver, cnf)
+        lines = plain.stdout.splitlines()
         assert lines[:6] == [*(f"c {k} {v}" for k, v in zip(names, counters)), f"s {answer}"], (
             n, d, s, prefix)
         model = "".join(line + "\n" for line in lines if line.startswith("v"))
         assert (hashlib.sha256(model.encode()).hexdigest() if model else None) == model_sha
+        # the same search from the file with reference lines
+        with cnf.open("w") as fh:
+            write_minicdcl(f, fh)
+        referenced = _run_bundled(bundled_solver, cnf)
+        assert (referenced.returncode, referenced.stdout) == (plain.returncode, plain.stdout)
+
+
+# (optimal depth D(n), optimal size S(n)) for n = 2..6
+SMALL_OPTIMA = {2: (1, 1), 3: (3, 3), 4: (3, 5), 5: (5, 9), 6: (5, 12)}
+
+
+def test_bundled_solver_reads_reference_lines_as_plain_dimacs(bundled_solver, tmp_path):
+    """The solver's output and exit code are the same byte for byte on both
+    files of each instance, plain DIMACS and reference lines: n = 2..6 at
+    d in {D(n), D(n) + 1} and s in {S(n) - 1, S(n)}, unprefixed and over every
+    prefix of T'n.  One instance is left out: unprefixed (6, 6, 11) takes
+    about 10 s a file; the pinned (6, 5, 11) refutes n = 6 unprefixed."""
+    cnf = tmp_path / "instance.cnf"
+    solved = 0
+    for n, (depth, size) in SMALL_OPTIMA.items():
+        prefixes = [None, *generate_prefixes(n, "T'").sentences]
+        for d in (depth, depth + 1):
+            for s in (size - 1, size):
+                for prefix in prefixes:
+                    if s < 1 or (prefix is not None and d < 2) or (
+                            (n, d, s, prefix) == (6, 6, 11, None)):
+                        continue
+                    f, _ = build_instance(n, d, s, EncodeOptions().with_prefix(prefix))
+                    runs = []
+                    for write in (write_dimacs, write_minicdcl):
+                        with cnf.open("w") as fh:
+                            write(f, fh)
+                        proc = _run_bundled(bundled_solver, cnf)
+                        runs.append((proc.returncode, proc.stdout, proc.stderr))
+                    assert runs[0] == runs[1], (n, d, s, prefix)
+                    assert runs[0][0] in (10, 20)
+                    solved += 1
+    assert solved == 173
 
 
 # DIMACS texts the bundled solver reads: its exit code and lines of its output
@@ -535,6 +702,21 @@ READ_CASES = [
                  id="literal-equal-to-the-count"),
     pytest.param("p cnf 2 2\n+1 0\n-1 +2 0\n", 10, ["c decisions 0", "s SATISFIABLE", "v 1 2 0"],
                  id="leading-plus"),
+    # template 0 over the block 1..2, applied again to 3..4: (3 -4) and (-3)
+    pytest.param("p cnf 4 4\nb 0 1 2 2\n1 -2 0\n-1 0\nr 0 3\n", 10,
+                 ["c decisions 0", "s SATISFIABLE", "v -1 -2 -3 -4 0"], id="reference"),
+    # 3 lies just past the block 2..2, so the reference keeps it: (1 3), (-1)
+    pytest.param("p cnf 3 4\nb 0 2 1 2\n2 3 0\n-2 0\nr 0 1\n", 10,
+                 ["c decisions 0", "s SATISFIABLE", "v -1 -2 3 0"], id="reference-keeps-constants"),
+    # a reference renames its clause (1 -2) to the tautology (2 -2), which
+    # the commit drops, not cut down to (2)
+    pytest.param("p cnf 2 3\nb 0 1 1 1\n1 -2 0\nr 0 2\n-2 0\n", 10,
+                 ["s SATISFIABLE", "v -1 -2 0"], id="reference-to-a-tautology"),
+    # an empty template may start one past the last variable
+    pytest.param("p cnf 1 1\nb 0 2 0 0\n-1 0\nr 0 2\n", 10, ["s SATISFIABLE", "v -1 0"],
+                 id="empty-template"),
+    pytest.param("p cnf 3 3\nb 7 1 1 1\n1 3 0\nr\t7  2\r\n-3\t0\r\n", 10,
+                 ["c decisions 0", "s SATISFIABLE", "v 1 2 -3 0"], id="reference-blanks-and-number"),
 ]
 
 # literals beyond "p cnf 2 1"; the 20-digit ones overflow a 64-bit integer
@@ -557,6 +739,46 @@ MALFORMED_CASES = [
     pytest.param("p cnf 2 99999999999999999999\n1 0\n", "bad p line",
                  id="clause-count-beyond-an-int"),
     pytest.param("c no p line\n", "missing p line", id="missing-p-line"),
+    # template and reference lines
+    pytest.param("b 0 1 1 1\n1 0\np cnf 2 1\n", "template line before p line",
+                 id="template-before-p-line"),
+    pytest.param("r 0 1\np cnf 2 1\n1 0\n", "template line before p line",
+                 id="reference-before-p-line"),
+    pytest.param("p cnf 2 2\nb 0 1 1 1\n1 0\n2 r 0 2\n", "template line inside a clause",
+                 id="reference-inside-a-clause"),
+    pytest.param("p cnf 4 3\nb 0 1 2 2\n1 0\nb 1 3 2 1\n3 0\n2 0\n",
+                 "template line inside a template", id="template-among-template-clauses"),
+    # a reference to the template being read is one among its clauses too
+    pytest.param("p cnf 4 3\nb 0 1 2 2\n1 0\nr 0 3\n2 0\n", "template line inside a template",
+                 id="reference-to-the-template-being-read"),
+    pytest.param("p cnf 4 1\nr 0 1\n", "undefined template", id="undefined-template"),
+    pytest.param("p cnf 4 3\nb 0 1 2 1\n1 0\nr 1 3\n", "undefined template",
+                 id="reference-to-another-number"),
+    pytest.param("p cnf 4 2\nb 0 1 2 1\n1 0\nb 0 3 2 1\n3 0\n", "template defined twice",
+                 id="template-defined-twice"),
+    pytest.param("p cnf 2 1\nb 65536 1 1 1\n1 0\n", "template number beyond the limit",
+                 id="template-number-beyond-the-limit"),
+    pytest.param("p cnf 2 1\nb 0 2 2 1\n2 0\n", "template block outside declared vars",
+                 id="template-block-past-vars"),
+    pytest.param("p cnf 2 1\nb 0 0 1 1\n1 0\n", "template block outside declared vars",
+                 id="template-block-at-zero"),
+    pytest.param("p cnf 3 2\nb 0 1 2 1\n1 0\nr 0 3\n", "template block outside declared vars",
+                 id="reference-block-past-vars"),
+    pytest.param("p cnf 2 2\nb 0 1 1 1\n1 0\nr 0 4\n", "template block outside declared vars",
+                 id="reference-start-past-vars"),
+    pytest.param("p cnf 2 2\nb 0 1 1 2\n1 2 0\n", "file ends inside a template",
+                 id="file-ends-inside-a-template"),
+    pytest.param("p cnf 2 1\nb 0 1 1 1\n1 2", "file ends inside a template",
+                 id="file-ends-inside-a-template-clause"),
+    pytest.param("p cnf 4 3\nb 0 1 2 1\n1 -2 0\nr 0 3\n", "clause count differs from the p line",
+                 id="fewer-clauses-than-declared"),
+    pytest.param("p cnf 4 2\nb 0 1 2 1\n1 -2 0\nr 0 3\n-1 0\n",
+                 "clause count differs from the p line", id="more-clauses-than-declared"),
+    pytest.param("p cnf 2 1\nb 0 1 1\n1 0\n", "bad template line", id="template-count-missing"),
+    pytest.param("p cnf 2 2\nb 0 1 1 1\n1 0\nr 0 2 5\n", "bad template line",
+                 id="reference-with-a-third-number"),
+    pytest.param("p cnf 2 1\nb -1 1 1 1\n1 0\n", "bad template line",
+                 id="negative-template-number"),
 ]
 
 
@@ -588,8 +810,9 @@ def test_bundled_solver_rejects_a_malformed_file(bundled_solver, tmp_path, text,
 @needs_cc
 def test_bundled_solver_is_clean_under_sanitizers(bundled_solver, tmp_path):
     """A build with AddressSanitizer and UndefinedBehaviorSanitizer reports
-    nothing on every loader case above and on two pinned instances, and
-    answers as the bundled binary does.  Learnt-clause reductions fire on
+    nothing on every loader case above and on two pinned instances, each
+    as plain DIMACS and with reference lines, and answers as the bundled
+    binary does.  Learnt-clause reductions fire on
     (5,6,8), so the clause-store copies and the learnt clauses' LBD words are
     checked too.  Leak checks are off: the solver frees nothing at exit."""
     binary = tmp_path / "minicdcl-asan"
@@ -601,7 +824,7 @@ def test_bundled_solver_is_clean_under_sanitizers(bundled_solver, tmp_path):
     texts += [f"p cnf 2 1\n1 {lit} 0\n" for lit in BEYOND_THE_COUNT]
     for n, d, size in ((6, 5, 12), (5, 6, 8)):
         f, _ = build_instance(n, d, size)
-        texts.append(emit_dimacs(f))
+        texts += [emit_dimacs(f), _written(f, write_minicdcl)]
     env = {**os.environ, "ASAN_OPTIONS": "detect_leaks=0", "UBSAN_OPTIONS": "print_stacktrace=1"}
     cnf = tmp_path / "in.cnf"
     for text in texts:
