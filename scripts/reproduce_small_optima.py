@@ -7,8 +7,8 @@ the bundled solver.  Results are cached in a JSON-lines catalog so reruns are
 instant.
 
 Bad arguments (--min-n below 2, --max-n below --min-n, a --timeout that is
-not positive, a --catalog that is a directory or lies in a missing one) are
-reported before the solver is built.
+not positive and finite, a --catalog that is a directory or lies in a
+missing one) are reported before the solver is built.
 
 Usage:
     python scripts/reproduce_small_optima.py [--max-n 8] [--catalog results.jsonl]
@@ -37,8 +37,8 @@ def main() -> int:
         ap.error(f"--min-n must be at least 2, got {args.min_n}")
     if args.max_n < args.min_n:
         ap.error(f"--max-n must be at least --min-n ({args.min_n}), got {args.max_n}")
-    if args.timeout <= 0:
-        ap.error(f"--timeout must be positive, got {args.timeout:g}")
+    if not 0 < args.timeout < float("inf"):
+        ap.error(f"--timeout must be positive and finite, got {args.timeout:g}")
     try:
         _check_output(args.catalog)
     except UsageError as exc:

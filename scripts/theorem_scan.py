@@ -8,12 +8,13 @@ in the catalog so the scan can be interrupted and resumed; on resume, the line
 of a prefix answered before reads "from catalog".  A prefix that a
 record at other bounds already settles (an UNSAT at bounds no smaller, a
 witness that fits) is not solved again; its line reads "implied by d=D s=S".
-A level that cannot be scanned (d < 2, s < 1, an empty T'_n, --jobs or
---timeout not positive), or a --catalog that is a directory or lies in a
-missing one, is an argument error, reported before any solver starts.
+A level that cannot be scanned (d < 2, s < 1, an empty T'_n, --jobs not
+positive, a --timeout not positive and finite), or a --catalog that is a
+directory or lies in a missing one, is an argument error, reported before
+any solver starts.
 
 Examples:
-    python scripts/theorem_scan.py 10 7 30            # 92 s on 2 cores at 52a0951
+    python scripts/theorem_scan.py 10 7 30            # 56 s on 2 cores at d17253d
     python scripts/theorem_scan.py 10 7 29            # after 10 7 30: no solve
     python scripts/theorem_scan.py 11 8 35 --jobs 2   # hours
     python scripts/theorem_scan.py 11 9 34 --timeout 86400   # days
@@ -48,8 +49,8 @@ def main() -> int:
         ap.error(f"s must be positive, got {args.s}")
     if args.jobs < 1:
         ap.error(f"--jobs must be at least 1, got {args.jobs}")
-    if args.timeout <= 0:
-        ap.error(f"--timeout must be positive, got {args.timeout:g}")
+    if not 0 < args.timeout < float("inf"):
+        ap.error(f"--timeout must be positive and finite, got {args.timeout:g}")
     try:
         _check_output(args.catalog)
     except UsageError as exc:

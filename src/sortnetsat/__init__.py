@@ -8,8 +8,8 @@ The package has three levels:
   sentences) and generation of complete, symmetry-reduced prefix sets.
 * ``cardinality`` / ``encoding`` / ``solving`` / ``search`` -- CNF construction
   for "a sorting network with at most s comparators in at most d layers
-  exists", solver backends, and the optimization driver with its result
-  catalog.
+  exists", running a solver on it, and the optimization driver with its
+  result catalog.
 """
 
 from sortnetsat.networks import Network, apply_network, is_sorting_network

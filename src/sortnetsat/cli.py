@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: ``prefixes``, ``encode``, ``solve``, ``optimize``, ``verify``,
-``render``, ``solver-build``.  The external solver command comes from the
-SORTNETSAT_SOLVER environment variable, or the bundled CDCL solver compiled
-on first use.
+``render``, ``solver-build``.  The solver is ``default_config``'s: the
+SORTNETSAT_SOLVER command, else the bundled CDCL solver compiled on first
+use, else the builtin DPLL.
 """
 
 from __future__ import annotations
@@ -51,10 +51,8 @@ def _add_encode_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    if args.timeout <= 0:
-        raise UsageError(f"--timeout must be positive, got {args.timeout:g}")
-    if args.backend == "builtin":
-        return SolverConfig("builtin", timeout=args.timeout)
+    if not 0 < args.timeout < float("inf"):
+        raise UsageError(f"--timeout must be positive and finite, got {args.timeout:g}")
     return default_config(timeout=args.timeout)
 
 
@@ -218,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("d", type=int)
     p.add_argument("s", type=int)
     _add_encode_flags(p)
-    p.add_argument("--backend", default="auto", choices=["auto", "builtin"])
     p.add_argument("--timeout", type=float, default=3600.0)
     p.add_argument("--catalog")
     p.add_argument("-o", "--output", help="write the witness network JSON here")
@@ -230,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, help="fixed depth for --mode size")
     p.add_argument("--size", type=int, help="fixed size for --mode depth")
     p.add_argument("--prefixes", default="auto", choices=["auto", "none", "tprime"])
-    p.add_argument("--backend", default="auto", choices=["auto", "builtin"])
     p.add_argument("--timeout", type=float, default=3600.0)
     p.add_argument("--catalog")
     p.add_argument("--jobs", type=int, default=1,

@@ -2,10 +2,10 @@
 
 The C source ships with the package and is compiled once into a cache
 directory; the resulting binary speaks the same DIMACS-file / competition
-output protocol as any mainstream solver, so it plugs into the external
-backend unchanged.  It also reads the template lines of
-``solving.write_minicdcl``, which ``solving.solve`` writes for it alone: it
-tells the binary by the path ``binary_path`` computes.
+output protocol as any mainstream solver, so it runs as any solver command
+does.  It also reads the template lines of ``solving.write_minicdcl``, which
+``solving.solve`` writes for it alone: ``SolverConfig.bundled`` tells the
+binary by the path ``binary_path`` computes.
 """
 
 from __future__ import annotations
@@ -35,9 +35,11 @@ def compiler() -> str | None:
     return shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
 
 
-def binary_path() -> str:
+def binary_path() -> str | None:
     """The path ``ensure_built`` compiles the current source and ``CFLAGS``
-    to, whether or not that binary exists yet."""
+    to, whether or not that binary exists yet; None without the source."""
+    if not _SOURCE.exists():
+        return None
     key = b"\0".join([_SOURCE.read_bytes(), *map(str.encode, CFLAGS)])
     tag = hashlib.sha256(key).hexdigest()[:16]
     return str(cache_dir() / f"minicdcl-{tag}")
@@ -45,13 +47,13 @@ def binary_path() -> str:
 
 def ensure_built(quiet: bool = False) -> str | None:
     """Compile the bundled solver if needed; returns the binary path, or None
-    when no C compiler is available."""
-    cc = compiler()
-    if cc is None or not _SOURCE.exists():
+    when no C compiler or no source is available."""
+    cc, path = compiler(), binary_path()
+    if cc is None or path is None:
         if not quiet:
             raise RuntimeError("no C compiler found; set SORTNETSAT_SOLVER instead")
         return None
-    out = Path(binary_path())
+    out = Path(path)
     if out.exists():
         return str(out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -1,17 +1,17 @@
-"""DIMACS emission, solver backends, and model decoding.
+"""DIMACS emission, the solver a solve runs, and model decoding.
 
-Two backends: ``builtin`` runs the bundled DPLL in-process; ``external`` runs
-any command that reads a DIMACS file and prints SAT-competition output
-(``s SATISFIABLE`` / ``s UNSATISFIABLE`` plus ``v`` model lines).  Every
-external solver gets plain DIMACS (``write_dimacs``), except the bundled
-``minicdcl``, recognised by the path ``csolver.binary_path`` gives for it:
+``SolverConfig.command`` names the solver: None runs the builtin DPLL
+in-process; a command reads a DIMACS file and prints SAT-competition output
+(``s SATISFIABLE`` / ``s UNSATISFIABLE`` plus ``v`` model lines), and
+``default_config`` picks it.  Every command gets plain DIMACS
+(``write_dimacs``), except the bundled ``minicdcl`` (``SolverConfig.bundled``):
 it gets each clause template of the formula once, and a one-line reference
 for every later application (``write_minicdcl``).  It reads the same clauses
-in the same order from either file.  A timeout
-yields UNKNOWN, which is never conflated with UNSAT: the external solver is
-sent SIGTERM and given ``STOP_GRACE`` seconds to print its counters before it
-is killed.  Solver crashes and unparsable output raise instead.  SAT models
-are re-checked against the formula before anyone gets to see them.
+in the same order from either file.  A timeout yields UNKNOWN, which is never
+conflated with UNSAT: a solver command is sent SIGTERM and given
+``STOP_GRACE`` seconds to print its counters before it is killed.  Solver
+crashes and unparsable output raise instead.  SAT models are re-checked
+against the formula before anyone gets to see them.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import TextIO
 
@@ -43,27 +44,36 @@ class SolverBackendError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """``backend`` is "builtin" or "external"; external needs a command
-    template, e.g. ``"kissat -q {cnf}"`` ({cnf} is replaced by the file path,
-    appended if missing).  Each external solve writes its formula into a
+    """The solver a solve runs: the builtin DPLL when ``command`` is None,
+    else a command template, e.g. ``"kissat -q {cnf}"`` ({cnf} is replaced by
+    the file path, appended if missing), which writes its formula into a
     fresh temporary directory (under ``TMPDIR`` when it is set) and removes
-    it afterwards."""
+    it afterwards.  ``timeout`` is in seconds, positive and finite."""
 
-    backend: str = "builtin"
     command: str | None = None
     timeout: float = 3600.0
 
     def __post_init__(self) -> None:
-        if self.backend not in ("builtin", "external"):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.backend == "external" and not self.command:
-            raise ValueError("external backend needs a command template")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not 0 < self.timeout < float("inf"):
+            raise ValueError(f"timeout must be positive and finite, got {self.timeout:g}")
+
+    @property
+    def backend(self) -> str:
+        return "builtin" if self.command is None else "external"
+
+    @cached_property
+    def bundled(self) -> bool:
+        """The command runs the bundled ``minicdcl``: its program is
+        ``csolver.binary_path()``, which is None when there is no source."""
+        return shlex.split(self.command or "")[:1] == [csolver.binary_path()]
 
     @property
     def name(self) -> str:
-        return self.command if self.backend == "external" else "builtin-dpll"
+        """``builtin-dpll``, the bundled binary's file name (no host path), or
+        the command's text."""
+        if self.command is None:
+            return "builtin-dpll"
+        return Path(shlex.split(self.command)[0]).name if self.bundled else self.command
 
 
 @dataclass
@@ -72,7 +82,7 @@ class SolveOutcome:
     model: dict[int, bool] | None
     solver: str
     # seconds of each stage of the solve: emit_s (the DIMACS write; 0 for
-    # the builtin backend), solver_s (the solver and reading its answer) and
+    # the builtin DPLL), solver_s (the solver and reading its answer) and
     # check_s (the model check)
     timings: dict[str, float] = field(default_factory=dict)
     # the solver's "c NAME N" counters, e.g. conflicts; empty when it prints none
@@ -185,7 +195,7 @@ def _complete_model(formula: CnfFormula, lits: list[int]) -> dict[int, bool]:
 
 def solve(formula: CnfFormula, config: SolverConfig) -> SolveOutcome:
     t0 = time.perf_counter()
-    if config.backend == "builtin":
+    if config.command is None:
         deadline = time.monotonic() + config.timeout
         status, model = dpll.solve_clauses(formula.num_vars, formula.clauses, deadline)
         stats, emit_s = {}, 0.0
@@ -205,8 +215,8 @@ def _solve_external(
     taken until the formula was written."""
     t0 = time.perf_counter()
     template = shlex.split(config.command)
-    # only the bundled solver reads template lines; the path tells it apart
-    write = write_minicdcl if template[:1] == [csolver.binary_path()] else write_dimacs
+    # only the bundled solver reads template lines
+    write = write_minicdcl if config.bundled else write_dimacs
     # a fresh directory per call: concurrent solves must never hand a solver
     # each other's formula
     with tempfile.TemporaryDirectory(prefix="sortnetsat-") as tmp:
@@ -264,16 +274,8 @@ def _stop(proc: subprocess.Popen) -> dict[str, int]:
 def decode_network(model: dict[int, bool], vm: VarMap) -> Network:
     """Network picked out by the g variables, without trailing empty layers:
     its depth is its real depth, at most the encoded d."""
-    layers = []
-    for k in range(1, vm.d + 1):
-        layers.append(
-            [
-                (i, j)
-                for i in range(1, vm.n + 1)
-                for j in range(i + 1, vm.n + 1)
-                if model[vm.g(k, i, j)]
-            ]
-        )
+    pairs = [(i, j) for i in range(1, vm.n + 1) for j in range(i + 1, vm.n + 1)]
+    layers = [[p for p in pairs if model[vm.g(k, *p)]] for k in range(1, vm.d + 1)]
     try:
         return Network.make(vm.n, layers).trimmed()
     except ValueError as exc:
@@ -281,12 +283,11 @@ def decode_network(model: dict[int, bool], vm: VarMap) -> Network:
 
 
 def default_config(timeout: float = 3600.0) -> SolverConfig:
-    """External solver from $SORTNETSAT_SOLVER, else the bundled CDCL solver
-    (compiled on first use), else the builtin DPLL."""
+    """The one place that picks the solver: the $SORTNETSAT_SOLVER command,
+    else the bundled CDCL solver (compiled on first use), else the builtin
+    DPLL when there is no C compiler."""
     env = os.environ.get(SOLVER_ENV_VAR)
     if env:
-        return SolverConfig("external", env, timeout)
+        return SolverConfig(env, timeout)
     binary = csolver.ensure_built(quiet=True)
-    if binary:
-        return SolverConfig("external", f"{binary} {{cnf}}", timeout)
-    return SolverConfig("builtin", None, timeout)
+    return SolverConfig(f"{binary} {{cnf}}" if binary else None, timeout)

@@ -53,12 +53,12 @@ def bundled_solver() -> str:
 
 @pytest.fixture(scope="session")
 def external_cfg(bundled_solver) -> SolverConfig:
-    return SolverConfig("external", f"{bundled_solver} {{cnf}}", timeout=600)
+    return SolverConfig(f"{bundled_solver} {{cnf}}", timeout=600)
 
 
 @pytest.fixture
 def builtin_cfg() -> SolverConfig:
-    return SolverConfig("builtin", timeout=300)
+    return SolverConfig(timeout=300)
 
 
 @pytest.fixture

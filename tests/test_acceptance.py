@@ -145,7 +145,7 @@ def test_criterion_6_small_unsat_bounds(external_cfg):
 
 @pytest.mark.extended
 def test_criterion_7_ten_channels_depth_seven(external_cfg):
-    cfg = SolverConfig("external", external_cfg.command, timeout=7200)
+    cfg = SolverConfig(external_cfg.command, timeout=7200)
     formula, vm = build_instance(10, 7, 31)
     out = solve(formula, cfg)
     assert out.status == SAT
@@ -159,7 +159,7 @@ def test_criterion_7_ten_channels_depth_seven(external_cfg):
 def test_criterion_7_ten_channels_depth_eight_29(external_cfg, known_optima):
     # existence of a 29-comparator depth-8 network; seeding the search with
     # the known witness's own first two layers keeps this minutes-scale
-    cfg = SolverConfig("external", external_cfg.command, timeout=7200)
+    cfg = SolverConfig(external_cfg.command, timeout=7200)
     rec = known_optima["n10_d8_s29"]
     first_two = Network.make(rec["n"], rec["layers"][:2])
     seed = min(sentence_of(first_two), reflect_sentence(sentence_of(first_two)))
@@ -170,7 +170,7 @@ def test_criterion_7_ten_channels_depth_eight_29(external_cfg, known_optima):
 
 @pytest.mark.extended
 def test_criterion_7_eleven_channels_optimum_35(external_cfg):
-    cfg = SolverConfig("external", external_cfg.command, timeout=14400)
+    cfg = SolverConfig(external_cfg.command, timeout=14400)
     level = run_level(11, 8, 35, generate_prefixes(11, "T'").sentences, config=cfg,
                       jobs=2, stop_on_sat=False)
     assert all(r.status in (SAT, UNSAT) for r in level.results)
@@ -181,7 +181,7 @@ def test_criterion_7_eleven_channels_optimum_35(external_cfg):
 
 @pytest.mark.extended
 def test_criterion_7_eleven_channels_34_impossible_to_depth_9(external_cfg, tmp_path):
-    cfg = SolverConfig("external", external_cfg.command, timeout=86400)
+    cfg = SolverConfig(external_cfg.command, timeout=86400)
     catalog = ResultCatalog(tmp_path / "n11.jsonl")
     prefixes = generate_prefixes(11, "T'").sentences
     level = run_level(11, 9, 34, prefixes, config=cfg, catalog=catalog,
@@ -196,7 +196,7 @@ def test_criterion_7_eleven_channels_34_impossible_to_depth_9(external_cfg, tmp_
 
 @pytest.mark.extended
 def test_criterion_7_twelve_channels_depth_eight(external_cfg, tmp_path):
-    cfg = SolverConfig("external", external_cfg.command, timeout=86400)
+    cfg = SolverConfig(external_cfg.command, timeout=86400)
     catalog = ResultCatalog(tmp_path / "n12.jsonl")
     prefixes = generate_prefixes(12, "T'").sentences
     level = run_level(12, 8, 40, prefixes, config=cfg, catalog=catalog,
@@ -213,7 +213,7 @@ def test_criterion_7_twelve_channels_depth_eight(external_cfg, tmp_path):
 
 @pytest.mark.extended
 def test_criterion_7_twelve_channels_depth_nine_39(external_cfg, known_optima):
-    cfg = SolverConfig("external", external_cfg.command, timeout=14400)
+    cfg = SolverConfig(external_cfg.command, timeout=14400)
     # SAT existence: start from the prefix of the known witness, then scan
     rec = known_optima["n12_d9_s39"]
     first_two = Network.make(rec["n"], rec["layers"][:2])

@@ -6,6 +6,7 @@ import pytest
 from sortnetsat import cli
 from sortnetsat.cli import main
 from sortnetsat.networks import Network
+from sortnetsat.solving import default_config
 
 
 def test_prefixes_listing(capsys):
@@ -45,7 +46,7 @@ def test_encode_file_and_stdout_give_the_same_bytes(tmp_path, capsys):
 
 def test_solve_builtin_and_verify_and_render(tmp_path, capsys):
     out = tmp_path / "net.json"
-    rc = main(["solve", "4", "3", "5", "--backend", "builtin", "-o", str(out)])
+    rc = main(["solve", "4", "3", "5", "-o", str(out)])
     assert rc == 0
     printed = capsys.readouterr().out
     assert "status: SAT" in printed
@@ -70,7 +71,7 @@ def test_verify_rejects_non_sorter(tmp_path, capsys):
 def test_optimize_cli_builtin(tmp_path, capsys):
     rc = main([
         "optimize", "4", "--mode", "size", "--depth", "3",
-        "--backend", "builtin", "--catalog", str(tmp_path / "cat.jsonl"),
+        "--catalog", str(tmp_path / "cat.jsonl"),
         "--save-witness", str(tmp_path / "w.json"),
     ])
     assert rc == 0
@@ -82,8 +83,7 @@ def test_optimize_cli_builtin(tmp_path, capsys):
 def test_solve_with_prefix(tmp_path, capsys):
     out = tmp_path / "net.json"
     rc = main([
-        "solve", "5", "5", "9", "--backend", "builtin",
-        "--prefix", "(0,1212)", "-o", str(out),
+        "solve", "5", "5", "9", "--prefix", "(0,1212)", "-o", str(out),
     ])
     assert rc == 0
     assert "status: SAT" in capsys.readouterr().out
@@ -96,27 +96,27 @@ def test_solve_with_prefix(tmp_path, capsys):
 
 
 def test_solve_reports_an_answer_implied_by_another_record(tmp_path, capsys):
-    catalog = ["--backend", "builtin", "--catalog", str(tmp_path / "cat.jsonl")]
+    catalog = ["--catalog", str(tmp_path / "cat.jsonl")]
+    solver = default_config().name
     assert main(["solve", "4", "3", "4", *catalog]) == 0
-    assert "status: UNSAT (builtin-dpll, " in capsys.readouterr().out
+    assert f"status: UNSAT ({solver}, " in capsys.readouterr().out
     assert main(["solve", "4", "2", "3", *catalog]) == 0
-    assert capsys.readouterr().out == "status: UNSAT (builtin-dpll, implied by d=3 s=4)\n"
+    assert capsys.readouterr().out == f"status: UNSAT ({solver}, implied by d=3 s=4)\n"
 
 
 def test_solve_reports_an_answer_read_back_from_its_own_record(tmp_path, capsys):
     path = tmp_path / "cat.jsonl"
-    catalog = ["--backend", "builtin", "--catalog", str(path)]
+    catalog = ["--catalog", str(path)]
     assert main(["solve", "4", "3", "4", *catalog]) == 0
     capsys.readouterr()
     assert main(["solve", "4", "3", "4", *catalog]) == 0
-    assert capsys.readouterr().out == "status: UNSAT (builtin-dpll, from catalog)\n"
+    assert capsys.readouterr().out == f"status: UNSAT ({default_config().name}, from catalog)\n"
     assert len(path.read_text().splitlines()) == 1
 
 
 def test_optimize_pareto_prints_its_witnesses(tmp_path, capsys):
     saved = tmp_path / "w.json"
-    rc = main(["optimize", "4", "--mode", "pareto", "--backend", "builtin",
-               "--save-witness", str(saved)])
+    rc = main(["optimize", "4", "--mode", "pareto", "--save-witness", str(saved)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "frontier (d=3, s=5)" in out
@@ -127,20 +127,27 @@ def test_optimize_pareto_prints_its_witnesses(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["solve", "4", "1", "2", "--backend", "builtin", "--prefix", "(1212)"],
-         "start layer 2 needs d >= 2"),
+        (["solve", "4", "1", "2", "--prefix", "(1212)"], "start layer 2 needs d >= 2"),
         (["encode", "4", "3", "5", "--prefix", "(1x2)"], "malformed word '1x2'"),
         (["encode", "4", "3", "5", "--prefix", "(21,21)"], "word '21' is not canonical; write '12'"),
         (["prefixes", "0"], "n must be positive, got 0"),
         (["optimize", "1", "--mode", "pareto"], "optimize needs n >= 2, got 1"),
         (["optimize", "5", "--mode", "size"], "optimize --mode size needs --depth"),
         (["optimize", "5", "--mode", "depth"], "optimize --mode depth needs --size"),
-        (["optimize", "4", "--mode", "depth", "--size", "0", "--backend", "builtin"],
-         "need s >= 1, got s=0"),
+        (["optimize", "4", "--mode", "depth", "--size", "0"], "need s >= 1, got s=0"),
         (["optimize", "4", "--mode", "size", "--depth", "0"], "--depth must be at least 1, got 0"),
         (["optimize", "4", "--mode", "size", "--depth", "3", "--jobs", "0"],
          "--jobs must be at least 1, got 0"),
-        (["solve", "4", "3", "5", "--timeout", "0"], "--timeout must be positive, got 0"),
+        (["solve", "4", "3", "5", "--timeout", "0"],
+         "--timeout must be positive and finite, got 0"),
+        (["solve", "4", "3", "5", "--timeout", "nan"],
+         "--timeout must be positive and finite, got nan"),
+        (["solve", "4", "3", "5", "--timeout", "inf"],
+         "--timeout must be positive and finite, got inf"),
+        (["optimize", "4", "--mode", "pareto", "--timeout", "nan"],
+         "--timeout must be positive and finite, got nan"),
+        (["optimize", "4", "--mode", "pareto", "--timeout", "inf"],
+         "--timeout must be positive and finite, got inf"),
         (["verify", "missing.json"], "cannot read missing.json: "),
         (["render", "missing.json", "-o", "net.svg"], "cannot read missing.json: "),
         (["verify", "text.json"], "text.json: not a network file: Expecting value"),
@@ -149,38 +156,42 @@ def test_optimize_pareto_prints_its_witnesses(tmp_path, capsys):
          "no-layers.json: network file lacks the field 'layers'"),
         (["verify", "out-of-range.json"],
          "out-of-range.json: not a network file: comparator (1, 5) out of range for n=3"),
-        (["solve", "4", "3", "5", "--backend", "builtin", "-o", "nodir/w.json"],
+        (["solve", "4", "3", "5", "-o", "nodir/w.json"],
          "cannot write nodir/w.json: no directory nodir"),
         (["encode", "4", "3", "5", "-o", "nodir/i.cnf"],
          "cannot write nodir/i.cnf: no directory nodir"),
         (["encode", "4", "3", "5", "--map", "nodir/i.map"],
          "cannot write nodir/i.map: no directory nodir"),
-        (["optimize", "4", "--mode", "pareto", "--backend", "builtin",
-          "--save-witness", "nodir/w.json"], "cannot write nodir/w.json: no directory nodir"),
+        (["optimize", "4", "--mode", "pareto", "--save-witness", "nodir/w.json"],
+         "cannot write nodir/w.json: no directory nodir"),
         (["render", "net.json", "-o", "nodir/net.svg"],
          "cannot write nodir/net.svg: no directory nodir"),
         (["render", "net.json", "-o", "."], "cannot write .: it is a directory"),
-        (["solve", "4", "3", "5", "--backend", "builtin", "--catalog", "."],
-         "cannot write .: it is a directory"),
-        (["solve", "4", "3", "5", "--backend", "builtin", "--catalog", "nodir/c.jsonl"],
+        (["solve", "4", "3", "5", "--catalog", "."], "cannot write .: it is a directory"),
+        (["solve", "4", "3", "5", "--catalog", "nodir/c.jsonl"],
          "cannot write nodir/c.jsonl: no directory nodir"),
-        (["optimize", "4", "--mode", "size", "--depth", "3", "--backend", "builtin",
-          "--catalog", "."], "cannot write .: it is a directory"),
-        (["optimize", "4", "--mode", "size", "--depth", "3", "--backend", "builtin",
-          "--catalog", "nodir/c.jsonl"], "cannot write nodir/c.jsonl: no directory nodir"),
+        (["optimize", "4", "--mode", "size", "--depth", "3", "--catalog", "."],
+         "cannot write .: it is a directory"),
+        (["optimize", "4", "--mode", "size", "--depth", "3", "--catalog", "nodir/c.jsonl"],
+         "cannot write nodir/c.jsonl: no directory nodir"),
         (["encode", "4", "3", "5", "--all-inputs"], "unrecognized arguments: --all-inputs"),
         (["solve", "4", "3", "5", "--solver", "x"], "unrecognized arguments: --solver x"),
+        (["solve", "4", "3", "5", "--backend", "builtin"],
+         "unrecognized arguments: --backend builtin"),
+        (["optimize", "4", "--mode", "pareto", "--backend", "builtin"],
+         "unrecognized arguments: --backend builtin"),
     ],
     ids=["prefix-too-deep", "malformed-prefix", "non-canonical-prefix", "no-channels",
          "one-channel-optimize", "size-mode-without-depth",
          "depth-mode-without-size", "size-zero", "depth-zero", "no-jobs",
-         "no-timeout", "verify-missing-file", "render-missing-file", "verify-non-json",
+         "no-timeout", "nan-timeout", "infinite-timeout", "optimize-nan-timeout",
+         "optimize-infinite-timeout", "verify-missing-file", "render-missing-file", "verify-non-json",
          "verify-no-layers", "render-no-layers", "verify-comparator-out-of-range",
          "solve-output-dir", "encode-output-dir", "encode-map-dir", "optimize-witness-dir",
          "render-output-dir", "render-output-is-a-directory", "solve-catalog-is-a-directory",
          "solve-catalog-dir", "optimize-catalog-is-a-directory", "optimize-catalog-dir",
          "encode-all-inputs",
-         "solve-solver-flag"],
+         "solve-solver-flag", "solve-backend-flag", "optimize-backend-flag"],
 )
 def test_input_errors_are_reported_without_a_traceback(tmp_path, monkeypatch, capsys,
                                                         argv, message):
@@ -191,11 +202,12 @@ def test_input_errors_are_reported_without_a_traceback(tmp_path, monkeypatch, ca
     Path("net.json").write_text(Network.make(2, [[(1, 2)]]).to_json())
 
     def no_work(*args, **kwargs):
-        raise AssertionError("work started before the output path was checked")
+        raise AssertionError("work started before the arguments were checked")
 
-    if message.startswith("cannot write"):
-        # an output path is checked before anything is built or solved
-        for name in ("build_instance", "run_task", "optimize", "render_svg"):
+    if message.startswith(("cannot write", "--timeout")):
+        # an output path and the timeout are checked before anything is
+        # built or solved
+        for name in ("build_instance", "default_config", "run_task", "optimize", "render_svg"):
             monkeypatch.setattr(cli, name, no_work)
     with pytest.raises(SystemExit) as exc:
         main(argv)

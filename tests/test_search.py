@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from sortnetsat import csolver
 from sortnetsat.encoding import ENCODER_VERSION, EncodeOptions, build_instance
 from sortnetsat.networks import Network, is_sorting_network
 from sortnetsat.search import (
@@ -104,6 +105,9 @@ def test_bundled_solver_record_splits_the_solve_and_keeps_counters(tmp_path, ext
     rec = json.loads(path.read_text())
     assert rec["stats"] == res.stats and set(rec["timings"]) == STAGES
     assert ResultCatalog(path).get(task).stats == res.stats
+    # the record names the solver by the binary's file name, not its host path
+    assert rec["solver"] == res.solver == Path(csolver.binary_path()).name
+    assert rec["solver"].startswith("minicdcl-") and "/" not in rec["solver"]
 
 
 def test_record_without_timings_loads():

@@ -322,13 +322,13 @@ def test_solve_writes_reference_lines_only_for_the_bundled_solver(
     script.chmod(0o755)
     f, _ = build_instance(4, 3, 5)
     for command in (f"sh {script}", f"{script} {{cnf}}"):
-        assert solve(f, SolverConfig("external", command, timeout=10)).status == UNSAT
+        assert solve(f, SolverConfig(command, timeout=10)).status == UNSAT
         text = copy.read_text()
         assert text == emit_dimacs(f)
         assert not any(line[0] in "br" for line in text.splitlines())
     # the same script at the bundled solver's path gets reference lines
     monkeypatch.setattr(csolver, "binary_path", lambda: str(script))
-    assert solve(f, SolverConfig("external", f"{script} {{cnf}}", timeout=10)).status == UNSAT
+    assert solve(f, SolverConfig(f"{script} {{cnf}}", timeout=10)).status == UNSAT
     assert copy.read_text() == _written(f, write_minicdcl) != emit_dimacs(f)
     monkeypatch.undo()
     assert csolver.binary_path() == bundled_solver
@@ -337,7 +337,7 @@ def test_solve_writes_reference_lines_only_for_the_bundled_solver(
 def test_external_bad_literal_is_an_error(tmp_path):
     script = tmp_path / "garbage.sh"
     script.write_text("echo s SATISFIABLE\necho v 1 -2 garbage 0\n")
-    cfg = SolverConfig("external", f"sh {script}", timeout=10)
+    cfg = SolverConfig(f"sh {script}", timeout=10)
     with pytest.raises(SolverBackendError, match=r"bad literal 'garbage'.*\(exit code 0"):
         solve(formula(2, [(1,)]), cfg)
 
@@ -352,14 +352,14 @@ def test_builtin_tiny_formulas(builtin_cfg):
 
 def test_builtin_times_out():
     f, _ = build_instance(6, 5, 12)
-    cfg = SolverConfig("builtin", timeout=0.05)
+    cfg = SolverConfig(timeout=0.05)
     assert solve(f, cfg).status == UNKNOWN
 
 
 def test_external_times_out(external_cfg, monkeypatch):
     f, _ = build_instance(8, 6, 18)  # hard enough not to finish instantly
     for command in _through_each_writer(monkeypatch, external_cfg.command):
-        out = solve(f, SolverConfig("external", command, timeout=0.2))
+        out = solve(f, SolverConfig(command, timeout=0.2))
         # the solver prints its counters when it is terminated
         assert out.status == UNKNOWN and "conflicts" in out.stats
 
@@ -376,13 +376,13 @@ def test_external_timeout_stays_unknown_and_kills_a_solver_ignoring_sigterm(
         "sleep 30 >/dev/null 2>&1 &\nwait\n"
     )
     for command in _through_each_writer(monkeypatch, f"sh {liar}"):
-        out = solve(f, SolverConfig("external", command, timeout=0.5))
+        out = solve(f, SolverConfig(command, timeout=0.5))
         assert out.status == UNKNOWN and out.model is None and out.stats == {"conflicts": 7}
     stubborn = tmp_path / "stubborn.sh"
     stubborn.write_text("trap '' TERM; exec sleep 30\n")
     for command in _through_each_writer(monkeypatch, f"sh {stubborn}"):
         t0 = time.monotonic()
-        out = solve(f, SolverConfig("external", command, timeout=0.5))
+        out = solve(f, SolverConfig(command, timeout=0.5))
         assert out.status == UNKNOWN and out.stats == {}
         assert time.monotonic() - t0 < 0.5 + solving.STOP_GRACE + 2
 
@@ -391,10 +391,10 @@ def test_external_crash_is_an_error(monkeypatch):
     f = formula(1, [(1,)])
     for command in _through_each_writer(monkeypatch, "echo not-a-solver-answer"):
         with pytest.raises(SolverBackendError):
-            solve(f, SolverConfig("external", command, timeout=10))
+            solve(f, SolverConfig(command, timeout=10))
     for command in _through_each_writer(monkeypatch, "/nonexistent/solver {cnf}"):
         with pytest.raises(SolverBackendError):
-            solve(f, SolverConfig("external", command, timeout=10))
+            solve(f, SolverConfig(command, timeout=10))
 
 
 def test_builtin_bad_model_is_an_error(monkeypatch):
@@ -402,7 +402,7 @@ def test_builtin_bad_model_is_an_error(monkeypatch):
     monkeypatch.setattr(solving.dpll, "solve_clauses",
                         lambda num_vars, clauses, deadline: (SAT, {1: False}))
     with pytest.raises(SolverBackendError, match="'builtin-dpll' does not satisfy"):
-        solve(formula(1, [(1,)]), SolverConfig("builtin", timeout=10))
+        solve(formula(1, [(1,)]), SolverConfig(timeout=10))
 
 
 def test_external_bad_model_is_an_error(tmp_path, monkeypatch, chain_template):
@@ -413,13 +413,16 @@ def test_external_bad_model_is_an_error(tmp_path, monkeypatch, chain_template):
     # repeats a template
     liar.write_text("echo s SATISFIABLE\necho v 1 0\n")
     vm, xs, chain = chain_template
-    for command in _through_each_writer(monkeypatch, f"sh {script}"):
-        cfg = SolverConfig("external", command, timeout=10)
-        with pytest.raises(SolverBackendError, match=re.escape(f"'sh {script}' does not satisfy")):
+    # the error names the solver: the command, or the program's file name
+    # when it stands in for the bundled binary
+    names = [f"sh {script}", "sh"]
+    for command, name in zip(_through_each_writer(monkeypatch, f"sh {script}"), names):
+        cfg = SolverConfig(command, timeout=10)
+        with pytest.raises(SolverBackendError, match=re.escape(f"'{name}' does not satisfy")):
             solve(formula(1, [(1,)]), cfg)
     for command in _through_each_writer(monkeypatch, f"sh {liar}"):
         with pytest.raises(SolverBackendError, match="does not satisfy"):
-            solve(_templated(vm, xs, chain, vm.num_vars), SolverConfig("external", command, 10))
+            solve(_templated(vm, xs, chain, vm.num_vars), SolverConfig(command, 10))
 
 
 def test_shared_workdir_gives_each_solve_its_own_file(tmp_path, monkeypatch):
@@ -432,7 +435,7 @@ def test_shared_workdir_gives_each_solve_its_own_file(tmp_path, monkeypatch):
     workdir.mkdir()
     # the root every temporary directory goes under, as TMPDIR sets it
     monkeypatch.setattr(tempfile, "tempdir", str(workdir))
-    cfg = SolverConfig("external", f"sh {script} {{cnf}}", timeout=10)
+    cfg = SolverConfig(f"sh {script} {{cnf}}", timeout=10)
     for f in (formula(1, [(1,)]), formula(2, [(1, 2)])):
         assert solve(f, cfg).status == UNSAT
     calls = [line.split(" ", 1) for line in log.read_text().splitlines()]
@@ -488,12 +491,9 @@ def test_backends_agree_on_random_cnf(builtin_cfg, external_cfg):
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig("external")
-    with pytest.raises(ValueError):
-        SolverConfig("oracle")
-    with pytest.raises(ValueError):
-        SolverConfig("builtin", timeout=0)
+    for timeout in (0, -1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="timeout must be positive and finite"):
+            SolverConfig(timeout=timeout)
 
 
 def test_dpll_direct():
@@ -548,15 +548,36 @@ def test_default_config_honours_environment(monkeypatch):
 
     monkeypatch.setenv(SOLVER_ENV_VAR, "mysolver --flag {cnf}")
     cfg = default_config(timeout=5)
-    assert cfg.backend == "external" and cfg.command.startswith("mysolver")
+    assert cfg.backend == "external" and cfg.name == "mysolver --flag {cnf}"
 
     monkeypatch.delenv(SOLVER_ENV_VAR)
     cfg = default_config(timeout=5)
     # bundled solver when a compiler exists, builtin otherwise; never crashes
     assert cfg.backend in ("external", "builtin")
     if cfg.backend == "external":
-        # the path solve recognises the bundled solver by
+        # the path solve recognises the bundled solver by; its name is the
+        # binary's file name, with no host path
         assert shlex.split(cfg.command)[0] == csolver.binary_path()
+        assert cfg.bundled and cfg.name == Path(csolver.binary_path()).name
+    else:
+        assert cfg.command is None and cfg.name == "builtin-dpll"
+
+
+def test_a_solver_command_runs_without_the_bundled_source(tmp_path, monkeypatch):
+    from sortnetsat.solving import SOLVER_ENV_VAR, default_config
+
+    # a stand-in solver that keeps a copy of the file it was given
+    copy = tmp_path / "copy.cnf"
+    script = tmp_path / "copysolver.sh"
+    script.write_text(f'cp "$1" "{copy}"\necho s UNSATISFIABLE\n')
+    monkeypatch.setattr(csolver, "_SOURCE", tmp_path / "missing.c")
+    monkeypatch.setenv(SOLVER_ENV_VAR, f"sh {script}")
+    cfg = default_config(timeout=10)
+    f, _ = build_instance(4, 3, 5)
+    out = solve(f, cfg)
+    assert out.status == UNSAT and out.solver == f"sh {script}"
+    assert not cfg.bundled and copy.read_text() == emit_dimacs(f)
+    assert csolver.binary_path() is None and csolver.ensure_built(quiet=True) is None
 
 
 needs_cc = pytest.mark.skipif(csolver.compiler() is None, reason="no C compiler")

@@ -98,13 +98,15 @@ def test_theorem_scan_solves_only_what_a_larger_level_leaves_open(
         (("2", "3", "1"), (), "T'_2 is empty: there is no prefix to scan"),
         (("0", "3", "1"), (), "n must be positive, got 0"),
         (("4", "3", "4"), ("--jobs", "0"), "--jobs must be at least 1, got 0"),
-        (("4", "3", "4"), ("--timeout", "0"), "--timeout must be positive, got 0"),
+        (("4", "3", "4"), ("--timeout", "0"), "--timeout must be positive and finite, got 0"),
+        (("4", "3", "4"), ("--timeout", "nan"), "--timeout must be positive and finite, got nan"),
+        (("4", "3", "4"), ("--timeout", "inf"), "--timeout must be positive and finite, got inf"),
         (("4", "3", "4"), ("--catalog", "."), "cannot write .: it is a directory"),
         (("4", "3", "4"), ("--catalog", "nodir/scan.jsonl"),
          "cannot write nodir/scan.jsonl: no directory nodir"),
     ],
     ids=["one-layer", "no-comparators", "empty-prefix-set", "no-channels", "no-jobs", "no-timeout",
-         "catalog-is-a-directory", "catalog-dir"],
+         "nan-timeout", "infinite-timeout", "catalog-is-a-directory", "catalog-dir"],
 )
 def test_theorem_scan_rejects_a_level_it_cannot_scan(tmp_path, monkeypatch, capsys,
                                                      level, flags, message):
