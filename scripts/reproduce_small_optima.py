@@ -8,7 +8,8 @@ instant.
 
 Bad arguments (--min-n below 2, --max-n below --min-n, a --timeout that is
 not positive and finite, a --catalog that is a directory or lies in a
-missing one) are reported before the solver is built.
+missing one, a SORTNETSAT_SOLVER that names no program) are reported before
+the solver is built.
 
 Usage:
     python scripts/reproduce_small_optima.py [--max-n 8] [--catalog results.jsonl]
@@ -22,7 +23,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from sortnetsat.cli import UsageError, _check_output
-from sortnetsat.search import ResultCatalog, optimize
+from sortnetsat.catalog import ResultCatalog
+from sortnetsat.search import optimize
 from sortnetsat.solving import default_config
 
 
@@ -43,8 +45,11 @@ def main() -> int:
         _check_output(args.catalog)
     except UsageError as exc:
         ap.error(str(exc))
+    try:
+        config = default_config(timeout=args.timeout)
+    except ValueError as exc:  # a SORTNETSAT_SOLVER that cannot run
+        ap.error(str(exc))
 
-    config = default_config(timeout=args.timeout)
     catalog = ResultCatalog(args.catalog)
     print(f"solver: {config.name}")
     for n in range(args.min_n, args.max_n + 1):

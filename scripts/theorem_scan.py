@@ -9,9 +9,9 @@ of a prefix answered before reads "from catalog".  A prefix that a
 record at other bounds already settles (an UNSAT at bounds no smaller, a
 witness that fits) is not solved again; its line reads "implied by d=D s=S".
 A level that cannot be scanned (d < 2, s < 1, an empty T'_n, --jobs not
-positive, a --timeout not positive and finite), or a --catalog that is a
-directory or lies in a missing one, is an argument error, reported before
-any solver starts.
+positive, a --timeout not positive and finite), a --catalog that is a
+directory or lies in a missing one, or a SORTNETSAT_SOLVER that names no
+program, is an argument error, reported before any solver starts.
 
 Examples:
     python scripts/theorem_scan.py 10 7 30            # 56 s on 2 cores at d17253d
@@ -29,7 +29,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from sortnetsat.cli import UsageError, _check_output
-from sortnetsat.search import ResultCatalog, run_level
+from sortnetsat.catalog import ResultCatalog
+from sortnetsat.search import run_level
 from sortnetsat.solving import SAT, UNKNOWN, UNSAT, default_config
 from sortnetsat.words import format_sentence, generate_prefixes
 
@@ -60,8 +61,11 @@ def main() -> int:
     prefixes = generate_prefixes(args.n, "T'").sentences
     if not prefixes:
         ap.error(f"T'_{args.n} is empty: there is no prefix to scan")
+    try:
+        config = default_config(timeout=args.timeout)
+    except ValueError as exc:  # a SORTNETSAT_SOLVER that cannot run
+        ap.error(str(exc))
 
-    config = default_config(timeout=args.timeout)
     print(f"(n={args.n}, d={args.d}, s={args.s}) over {len(prefixes)} prefixes, "
           f"solver {config.name}")
 

@@ -6,10 +6,10 @@ The package has three levels:
   verification via the zero-one principle, reflection and channel permutation.
 * ``words`` -- the symbolic canonical form of two-layer networks (words and
   sentences) and generation of complete, symmetry-reduced prefix sets.
-* ``cardinality`` / ``encoding`` / ``solving`` / ``search`` -- CNF construction
-  for "a sorting network with at most s comparators in at most d layers
-  exists", running a solver on it, and the optimization driver with its
-  result catalog.
+* ``cardinality`` / ``encoding`` / ``solving`` / ``catalog`` / ``search`` --
+  CNF construction for "a sorting network with at most s comparators in at
+  most d layers exists", running a solver on it, the checked result catalog,
+  and the optimization driver.
 """
 
 from sortnetsat.networks import Network, apply_network, is_sorting_network

@@ -13,10 +13,11 @@ import sys
 from pathlib import Path
 
 from sortnetsat import csolver
+from sortnetsat.catalog import ResultCatalog
 from sortnetsat.encoding import EncodeOptions, EncodingError, build_instance
 from sortnetsat.networks import Network, is_sorting_network
 from sortnetsat.render import render_svg
-from sortnetsat.search import ResultCatalog, optimize, run_task, SearchTask
+from sortnetsat.search import optimize, run_task, SearchTask
 from sortnetsat.solving import SAT, UNSAT, SolverConfig, default_config, write_dimacs
 from sortnetsat.words import (
     WordError,
@@ -53,7 +54,10 @@ def _add_encode_flags(p: argparse.ArgumentParser) -> None:
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
     if not 0 < args.timeout < float("inf"):
         raise UsageError(f"--timeout must be positive and finite, got {args.timeout:g}")
-    return default_config(timeout=args.timeout)
+    try:
+        return default_config(timeout=args.timeout)
+    except ValueError as exc:  # a SORTNETSAT_SOLVER that cannot run
+        raise UsageError(str(exc)) from None
 
 
 def _check_output(path: str | None) -> None:
@@ -129,13 +133,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "depth": "min_depth_given_size",
         "pareto": "pareto",
     }[args.mode]
+    config = _solver_config(args)
     catalog = ResultCatalog(args.catalog) if args.catalog else None
     claim = optimize(
         args.n,
         mode,
         depth=args.depth,
         size=args.size,
-        config=_solver_config(args),
+        config=config,
         prefixes=args.prefixes,
         catalog=catalog,
         jobs=args.jobs,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import os
 import shlex
+import shutil
 import subprocess
 import tempfile
 import time
@@ -285,9 +286,16 @@ def decode_network(model: dict[int, bool], vm: VarMap) -> Network:
 def default_config(timeout: float = 3600.0) -> SolverConfig:
     """The one place that picks the solver: the $SORTNETSAT_SOLVER command,
     else the bundled CDCL solver (compiled on first use), else the builtin
-    DPLL when there is no C compiler."""
+    DPLL when there is no C compiler.  ValueError for a set command that is
+    blank, has unbalanced quotes or whose program is not found."""
     env = os.environ.get(SOLVER_ENV_VAR)
     if env:
+        try:
+            program = shlex.split(env)[:1]
+        except ValueError as exc:
+            raise ValueError(f"{SOLVER_ENV_VAR}={env!r}: {exc}") from None
+        if not program or shutil.which(program[0]) is None:
+            raise ValueError(f"{SOLVER_ENV_VAR}={env!r} names no program that can be found")
         return SolverConfig(env, timeout)
     binary = csolver.ensure_built(quiet=True)
     return SolverConfig(f"{binary} {{cnf}}" if binary else None, timeout)

@@ -20,7 +20,8 @@ from sortnetsat.networks import (
     permute_untangle,
     reflect,
 )
-from sortnetsat.search import ResultCatalog, SearchTask, run_level, run_task
+from sortnetsat.catalog import ResultCatalog
+from sortnetsat.search import SearchTask, run_level, run_task
 from sortnetsat.solving import SAT, UNSAT, SolverConfig, decode_network, solve
 from sortnetsat.words import (
     count_prefixes,

@@ -6,7 +6,7 @@ import pytest
 from sortnetsat import cli
 from sortnetsat.cli import main
 from sortnetsat.networks import Network
-from sortnetsat.solving import default_config
+from sortnetsat.solving import SOLVER_ENV_VAR, default_config
 
 
 def test_prefixes_listing(capsys):
@@ -180,6 +180,16 @@ def test_optimize_pareto_prints_its_witnesses(tmp_path, capsys):
          "unrecognized arguments: --backend builtin"),
         (["optimize", "4", "--mode", "pareto", "--backend", "builtin"],
          "unrecognized arguments: --backend builtin"),
+        (["SORTNETSAT_SOLVER=nosuchsolver", "solve", "3", "3", "3"],
+         "SORTNETSAT_SOLVER='nosuchsolver' names no program that can be found"),
+        (["SORTNETSAT_SOLVER= ", "solve", "3", "3", "3"],
+         "SORTNETSAT_SOLVER=' ' names no program that can be found"),
+        (['SORTNETSAT_SOLVER="kissat {cnf}', "solve", "3", "3", "3"],
+         """SORTNETSAT_SOLVER='"kissat {cnf}': No closing quotation"""),
+        (["SORTNETSAT_SOLVER=nosuchsolver", "optimize", "4", "--mode", "pareto"],
+         "SORTNETSAT_SOLVER='nosuchsolver' names no program that can be found"),
+        (["SORTNETSAT_SOLVER= ", "optimize", "4", "--mode", "pareto"],
+         "SORTNETSAT_SOLVER=' ' names no program that can be found"),
     ],
     ids=["prefix-too-deep", "malformed-prefix", "non-canonical-prefix", "no-channels",
          "one-channel-optimize", "size-mode-without-depth",
@@ -191,10 +201,16 @@ def test_optimize_pareto_prints_its_witnesses(tmp_path, capsys):
          "render-output-dir", "render-output-is-a-directory", "solve-catalog-is-a-directory",
          "solve-catalog-dir", "optimize-catalog-is-a-directory", "optimize-catalog-dir",
          "encode-all-inputs",
-         "solve-solver-flag", "solve-backend-flag", "optimize-backend-flag"],
+         "solve-solver-flag", "solve-backend-flag", "optimize-backend-flag",
+         "solve-missing-solver", "solve-blank-solver", "solve-solver-unbalanced-quote",
+         "optimize-missing-solver", "optimize-blank-solver"],
 )
 def test_input_errors_are_reported_without_a_traceback(tmp_path, monkeypatch, capsys,
                                                         argv, message):
+    var, _, value = argv[0].partition("=")
+    if var == SOLVER_ENV_VAR:  # a leading NAME=VALUE word sets it, as in a shell
+        monkeypatch.setenv(var, value)
+        argv = argv[1:]
     monkeypatch.chdir(tmp_path)
     Path("text.json").write_text("not json\n")
     Path("no-layers.json").write_text(json.dumps({"n": 3}))
@@ -204,11 +220,12 @@ def test_input_errors_are_reported_without_a_traceback(tmp_path, monkeypatch, ca
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the arguments were checked")
 
-    if message.startswith(("cannot write", "--timeout")):
-        # an output path and the timeout are checked before anything is
-        # built or solved
+    if message.startswith(("cannot write", "--timeout", SOLVER_ENV_VAR)):
+        # an output path, the timeout and the solver (which default_config
+        # checks) are checked before anything is built or solved
         for name in ("build_instance", "default_config", "run_task", "optimize", "render_svg"):
-            monkeypatch.setattr(cli, name, no_work)
+            if not (name == "default_config" and message.startswith(SOLVER_ENV_VAR)):
+                monkeypatch.setattr(cli, name, no_work)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -56,9 +56,13 @@ def test_reproduce_small_optima_proves_the_frontiers(external_cfg, tmp_path, mon
         (("--catalog", "."), "cannot write .: it is a directory"),
         (("--catalog", "nodir/optima.jsonl"),
          "cannot write nodir/optima.jsonl: no directory nodir"),
+        (("SORTNETSAT_SOLVER=nosuchsolver", "--max-n", "3"),
+         "SORTNETSAT_SOLVER='nosuchsolver' names no program that can be found"),
+        (("SORTNETSAT_SOLVER= ", "--max-n", "3"),
+         "SORTNETSAT_SOLVER=' ' names no program that can be found"),
     ],
     ids=["one-channel", "empty-range", "no-timeout", "nan-timeout", "infinite-timeout",
-         "catalog-is-a-directory", "catalog-dir"],
+         "catalog-is-a-directory", "catalog-dir", "missing-solver", "blank-solver"],
 )
 def test_reproduce_small_optima_rejects_bad_arguments(tmp_path, monkeypatch, capsys, argv,
                                                       message):
@@ -66,7 +70,12 @@ def test_reproduce_small_optima_rejects_bad_arguments(tmp_path, monkeypatch, cap
         raise AssertionError("the search started")
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr("sortnetsat.solving.default_config", unreachable)
+    var, _, value = argv[0].partition("=")
+    if var == SOLVER_ENV_VAR:  # a leading NAME=VALUE word sets it, as in a shell
+        monkeypatch.setenv(var, value)
+        argv = argv[1:]
+    else:  # every other argument is checked before the solver is looked up
+        monkeypatch.setattr("sortnetsat.solving.default_config", unreachable)
     monkeypatch.setattr("sortnetsat.search.optimize", unreachable)
     with pytest.raises(SystemExit) as exc:
         _run(monkeypatch, capsys, "reproduce_small_optima.py", *argv)

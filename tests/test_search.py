@@ -8,17 +8,10 @@ from pathlib import Path
 import pytest
 
 from sortnetsat import csolver
+from sortnetsat.catalog import ResultCatalog, SearchResult
 from sortnetsat.encoding import ENCODER_VERSION, EncodeOptions, build_instance
 from sortnetsat.networks import Network, is_sorting_network
-from sortnetsat.search import (
-    OptimalityClaim,
-    ResultCatalog,
-    SearchResult,
-    SearchTask,
-    optimize,
-    run_level,
-    run_task,
-)
+from sortnetsat.search import OptimalityClaim, SearchTask, optimize, run_level, run_task
 from sortnetsat.solving import SAT, UNKNOWN, UNSAT, SolveOutcome, SolverConfig, solve
 from sortnetsat.words import format_sentence, generate_prefixes, parse_sentence
 

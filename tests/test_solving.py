@@ -546,9 +546,9 @@ def test_builtin_search_is_pinned():
 def test_default_config_honours_environment(monkeypatch):
     from sortnetsat.solving import SOLVER_ENV_VAR, default_config
 
-    monkeypatch.setenv(SOLVER_ENV_VAR, "mysolver --flag {cnf}")
+    monkeypatch.setenv(SOLVER_ENV_VAR, "sh --flag {cnf}")  # a program default_config finds
     cfg = default_config(timeout=5)
-    assert cfg.backend == "external" and cfg.name == "mysolver --flag {cnf}"
+    assert cfg.backend == "external" and cfg.name == "sh --flag {cnf}"
 
     monkeypatch.delenv(SOLVER_ENV_VAR)
     cfg = default_config(timeout=5)

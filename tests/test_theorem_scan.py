@@ -104,9 +104,14 @@ def test_theorem_scan_solves_only_what_a_larger_level_leaves_open(
         (("4", "3", "4"), ("--catalog", "."), "cannot write .: it is a directory"),
         (("4", "3", "4"), ("--catalog", "nodir/scan.jsonl"),
          "cannot write nodir/scan.jsonl: no directory nodir"),
+        (("SORTNETSAT_SOLVER=nosuchsolver", "4", "3", "5"), (),
+         "SORTNETSAT_SOLVER='nosuchsolver' names no program that can be found"),
+        (("SORTNETSAT_SOLVER= ", "4", "3", "5"), (),
+         "SORTNETSAT_SOLVER=' ' names no program that can be found"),
     ],
     ids=["one-layer", "no-comparators", "empty-prefix-set", "no-channels", "no-jobs", "no-timeout",
-         "nan-timeout", "infinite-timeout", "catalog-is-a-directory", "catalog-dir"],
+         "nan-timeout", "infinite-timeout", "catalog-is-a-directory", "catalog-dir",
+         "missing-solver", "blank-solver"],
 )
 def test_theorem_scan_rejects_a_level_it_cannot_scan(tmp_path, monkeypatch, capsys,
                                                      level, flags, message):
@@ -114,7 +119,12 @@ def test_theorem_scan_rejects_a_level_it_cannot_scan(tmp_path, monkeypatch, caps
         raise AssertionError("the scan started")
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr("sortnetsat.solving.default_config", unreachable)
+    var, _, value = level[0].partition("=")
+    if var == SOLVER_ENV_VAR:  # a leading NAME=VALUE word sets it, as in a shell
+        monkeypatch.setenv(var, value)
+        level = level[1:]
+    else:  # every other argument is checked before the solver is looked up
+        monkeypatch.setattr("sortnetsat.solving.default_config", unreachable)
     monkeypatch.setattr("sortnetsat.search.run_level", unreachable)
     catalog = tmp_path / "scan.jsonl"
     with pytest.raises(SystemExit) as exc:
