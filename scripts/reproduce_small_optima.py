@@ -9,7 +9,8 @@ instant.
 Bad arguments (--min-n below 2, --max-n below --min-n, a --timeout that is
 not positive and finite, a --catalog that is a directory or lies in a
 missing one, a SORTNETSAT_SOLVER that names no program) are reported before
-the solver is built.
+the solver is built.  A solver that crashes or whose output cannot be read
+ends the run with one error line and exit code 1.
 
 Usage:
     python scripts/reproduce_small_optima.py [--max-n 8] [--catalog results.jsonl]
@@ -25,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from sortnetsat.cli import UsageError, _check_output
 from sortnetsat.catalog import ResultCatalog
 from sortnetsat.search import optimize
-from sortnetsat.solving import default_config
+from sortnetsat.solving import SolverBackendError, default_config
 
 
 def main() -> int:
@@ -54,7 +55,10 @@ def main() -> int:
     print(f"solver: {config.name}")
     for n in range(args.min_n, args.max_n + 1):
         t0 = time.monotonic()
-        claim = optimize(n, "pareto", config=config, catalog=catalog)
+        try:
+            claim = optimize(n, "pareto", config=config, catalog=catalog)
+        except SolverBackendError as exc:  # a solver that crashed or that we cannot read
+            ap.exit(1, f"{ap.prog}: error: {exc}\n")
         dt = time.monotonic() - t0
         print(f"n={n}: {claim.note} [{'proven' if claim.proven else 'NOT PROVEN'}] "
               f"({dt:.1f}s)")

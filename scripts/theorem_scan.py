@@ -11,7 +11,9 @@ witness that fits) is not solved again; its line reads "implied by d=D s=S".
 A level that cannot be scanned (d < 2, s < 1, an empty T'_n, --jobs not
 positive, a --timeout not positive and finite), a --catalog that is a
 directory or lies in a missing one, or a SORTNETSAT_SOLVER that names no
-program, is an argument error, reported before any solver starts.
+program, is an argument error, reported before any solver starts.  A solver
+that crashes or whose output cannot be read ends the scan with one error
+line and exit code 1.
 
 Examples:
     python scripts/theorem_scan.py 10 7 30            # 56 s on 2 cores at d17253d
@@ -31,7 +33,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from sortnetsat.cli import UsageError, _check_output
 from sortnetsat.catalog import ResultCatalog
 from sortnetsat.search import run_level
-from sortnetsat.solving import SAT, UNKNOWN, UNSAT, default_config
+from sortnetsat.solving import SAT, UNKNOWN, UNSAT, SolverBackendError, default_config
 from sortnetsat.words import format_sentence, generate_prefixes
 
 
@@ -78,9 +80,12 @@ def main() -> int:
         print(f"[{k}/{len(prefixes)}] {format_sentence(res.prefix)}: {res.status} "
               f"({res.how(1)}, eta {eta:.0f}s)", flush=True)
 
-    level = run_level(args.n, args.d, args.s, prefixes, config=config,
-                      catalog=ResultCatalog(args.catalog), jobs=args.jobs,
-                      stop_on_sat=False, on_result=report)
+    try:
+        level = run_level(args.n, args.d, args.s, prefixes, config=config,
+                          catalog=ResultCatalog(args.catalog), jobs=args.jobs,
+                          stop_on_sat=False, on_result=report)
+    except SolverBackendError as exc:  # a solver that crashed or that we cannot read
+        ap.exit(1, f"{ap.prog}: error: {exc}\n")
 
     statuses = [r.status for r in level.results]
     implied = sum(r.implied_by is not None for r in level.results)

@@ -18,7 +18,14 @@ from sortnetsat.encoding import EncodeOptions, EncodingError, build_instance
 from sortnetsat.networks import Network, is_sorting_network
 from sortnetsat.render import render_svg
 from sortnetsat.search import optimize, run_task, SearchTask
-from sortnetsat.solving import SAT, UNSAT, SolverConfig, default_config, write_dimacs
+from sortnetsat.solving import (
+    SAT,
+    UNSAT,
+    SolverBackendError,
+    SolverConfig,
+    default_config,
+    write_dimacs,
+)
 from sortnetsat.words import (
     WordError,
     count_prefixes,
@@ -262,6 +269,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (EncodingError, WordError, UsageError) as exc:
         parser.error(str(exc))
+    except (SolverBackendError, csolver.BuildError) as exc:
+        # the arguments were fine, the solver was not: no usage text
+        parser.exit(1, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -23,6 +23,10 @@ _SOURCE = Path(__file__).parent / "csolver" / "minicdcl.c"
 CFLAGS = ("-O2", "-std=c99")
 
 
+class BuildError(RuntimeError):
+    """The bundled solver cannot be built: no C compiler, or the compile failed."""
+
+
 def cache_dir() -> Path:
     root = os.environ.get("XDG_CACHE_HOME") or os.path.join(
         os.path.expanduser("~"), ".cache"
@@ -46,12 +50,13 @@ def binary_path() -> str | None:
 
 
 def ensure_built(quiet: bool = False) -> str | None:
-    """Compile the bundled solver if needed; returns the binary path, or None
-    when no C compiler or no source is available."""
+    """Compile the bundled solver if needed; returns the binary path.  When
+    no C compiler or no source is available, or the compile fails, BuildError,
+    or None when ``quiet``."""
     cc, path = compiler(), binary_path()
     if cc is None or path is None:
         if not quiet:
-            raise RuntimeError("no C compiler found; set SORTNETSAT_SOLVER instead")
+            raise BuildError("no C compiler found; set SORTNETSAT_SOLVER instead")
         return None
     out = Path(path)
     if out.exists():
@@ -65,7 +70,7 @@ def ensure_built(quiet: bool = False) -> str | None:
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
             if not quiet:
-                raise RuntimeError(f"solver build failed:\n{proc.stderr}")
+                raise BuildError(f"solver build failed:\n{proc.stderr}")
             return None
         os.replace(tmp, out)
     return str(out)

@@ -10,9 +10,17 @@ formulas byte for byte.
 Every input's value chain is one contiguous block of ids, so the clauses of
 one input are those of any other with the block shifted.  ``encode_inputs``
 therefore encodes clause by clause only the first input, and the first input
-with each window, and copies every later input's clauses from templates
-derived from the second input that needs each.  The output is the same as
-encoding each input in turn; ``ENCODER_VERSION`` names it.
+with each window, and copies every later input's clauses from templates.
+The output is the same as encoding each input in turn; ``ENCODER_VERSION``
+names it.
+
+Those templates, and the families that name only g literals (validity, last
+layers, sigma1 and sigma3), depend only on the instance's shape: n, d and
+the start layer.  So each process builds them once per shape (``_shape``, a
+small bounded cache), in a scratch VarMap of that shape.  A template records
+each auxiliary it names (a used, oneDown or oneUp flag) and each g literal by
+its role, and an instance binds it to its own ids, once, when it first
+applies it.
 
 The cardinality network, last in every formula, is a template too.  It
 depends only on the g literals, which (n, d) fixes, and on s, and its
@@ -36,6 +44,7 @@ block, without reading the template's clauses (``solving.write_minicdcl``).
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import itemgetter, neg
@@ -93,6 +102,11 @@ class CnfFormula:
         self._tail += lits
         self._tail.append(0)
         self.num_clauses += 1
+
+    def extend(self, entries: list[int]) -> None:
+        """Append clauses given as store entries, each clause ended by a 0."""
+        self._tail += entries
+        self.num_clauses += entries.count(0)
 
     def add_template(self, template: _Template, block: range) -> None:
         """Append the clauses of ``template`` over the ids ``block``."""
@@ -258,6 +272,17 @@ class VarMap:
     def g_lits(self) -> list[int]:
         return [self._g[key] for key in sorted(self._g)]
 
+    def roles(self) -> Iterator[tuple[tuple, int]]:
+        """(role, id) for every g literal and auxiliary, the role as
+        ``dump_map`` names it: ("g", k, i, j), ("used", k, i), ..."""
+        for key, var in self._g.items():
+            yield ("g", *key), var
+        yield from self._or.items()
+
+    def id_of(self, role: tuple) -> int:
+        """The id of a role that ``roles`` yields."""
+        return self._g[role[1:]] if role[0] == "g" else self._or[role]
+
     def register_input(self, x: Bits) -> None:
         """Give x one contiguous block of ids, v(x,start,1) ... v(x,d,n)."""
         if len(x) != self.n:
@@ -278,38 +303,48 @@ class VarMap:
             raise KeyError((x, k, i))
         return self._base[x] + (k - self.start_layer) * self.n + i - 1
 
-    def _or_of(self, key: tuple, lits: Iterable[int], formula: CnfFormula) -> int:
-        """The variable of role ``key``, defined as the OR of ``lits``; a fresh
-        id and its defining clauses on first request (``lits`` is read only
-        then)."""
-        var = self._or.get(key)
-        if var is None:
-            var = self._or[key] = self.fresh()
-            lits = list(lits)
-            formula.add(-var, *lits)
-            for glit in lits:
-                formula.add(-glit, var)
+    def layer(self, x: Bits, k: int) -> range:
+        """The ids of x's values at layer k, channels 1 .. n."""
+        first = self.v(x, k, 1)
+        return range(first, first + self.n)
+
+    def _define(self, key: tuple, lits: Iterable[int], formula: CnfFormula) -> int:
+        """A fresh id for the role ``key``, defined as the OR of ``lits`` by
+        clauses written to ``formula``.  Callers look the role up first, so
+        that a known role builds no ``lits``."""
+        var = self._or[key] = self.fresh()
+        lits = list(lits)
+        entries = [-var, *lits, 0]  # var -> OR of lits
+        for glit in lits:
+            entries += (-glit, var, 0)  # glit -> var
+        formula.extend(entries)
         return var
 
     def used(self, k: int, i: int, formula: CnfFormula) -> int:
         """The channel-used flag used(k,i) <-> OR of incident g(k,.,.)."""
-        incident = (self.g(k, min(i, o), max(i, o)) for o in range(1, self.n + 1) if o != i)
-        return self._or_of(("used", k, i), incident, formula)
+        key = ("used", k, i)
+        return self._or.get(key) or self._define(
+            key, (self.g(k, min(i, o), max(i, o)) for o in range(1, self.n + 1) if o != i), formula
+        )
 
     def one_down(self, k: int, i: int, j: int, formula: CnfFormula) -> int | None:
         """one_down(k,i,j) <-> OR of g(k,i,l) for i < l <= j; None when the
         disjunction is empty (vacuously false)."""
         if j <= i:
             return None
-        lits = (self.g(k, i, l) for l in range(i + 1, j + 1))
-        return self._or_of(("oneDown", k, i, j), lits, formula)
+        key = ("oneDown", k, i, j)
+        return self._or.get(key) or self._define(
+            key, (self.g(k, i, l) for l in range(i + 1, j + 1)), formula
+        )
 
     def one_up(self, k: int, i: int, j: int, formula: CnfFormula) -> int | None:
         """one_up(k,i,j) <-> OR of g(k,l,j) for i <= l < j."""
         if j <= i:
             return None
-        lits = (self.g(k, l, j) for l in range(i, j))
-        return self._or_of(("oneUp", k, i, j), lits, formula)
+        key = ("oneUp", k, i, j)
+        return self._or.get(key) or self._define(
+            key, (self.g(k, l, j) for l in range(i, j)), formula
+        )
 
     def dump_map(self) -> str:
         """Sidecar debugging map, one ``role ... -> id`` line per variable;
@@ -320,10 +355,8 @@ class VarMap:
             for offset, var in enumerate(self.block(x)):
                 k, i = divmod(offset, self.n)
                 roles[var - 1] = f"v {bits} {self.start_layer + k} {i + 1}"
-        for key, var in self._g.items():
-            roles[var - 1] = " ".join(map(str, ("g", *key)))
-        for key, var in self._or.items():
-            roles[var - 1] = " ".join(map(str, key))
+        for role, var in self.roles():
+            roles[var - 1] = " ".join(map(str, role))
         return "".join(f"{role} -> {var}\n" for var, role in enumerate(roles, 1))
 
 
@@ -349,8 +382,8 @@ def encode_sorts(vm: VarMap, formula: CnfFormula, x: Bits) -> None:
 
 def encode_units(vm: VarMap, formula: CnfFormula, x: Bits, k: int, bits: Bits) -> None:
     """Pin x's values at layer k to ``bits``."""
-    for i in range(1, vm.n + 1):
-        formula.add(vm.v(x, k, i) if bits[i - 1] else -vm.v(x, k, i))
+    for var, bit in zip(vm.layer(x, k), bits):
+        formula.add(var if bit else -var)
 
 
 def _encode_chain(vm: VarMap, formula: CnfFormula, x: Bits) -> None:
@@ -359,23 +392,24 @@ def _encode_chain(vm: VarMap, formula: CnfFormula, x: Bits) -> None:
     its value)."""
     n, d = vm.n, vm.d
     for k in range(vm.start_layer + 1, d + 1):
+        before, after = vm.layer(x, k - 1), vm.layer(x, k)
         for i in range(1, n + 1):
-            cur = vm.v(x, k, i)
-            prev = vm.v(x, k - 1, i)
+            cur = after[i - 1]
+            prev = before[i - 1]
             u = vm.used(k, i, formula)
             formula.add(u, -cur, prev)
             formula.add(u, cur, -prev)
             for j in range(1, i):
                 # comparator (j, i): channel i receives the maximum
                 glit = vm.g(k, j, i)
-                other = vm.v(x, k - 1, j)
+                other = before[j - 1]
                 formula.add(-glit, -cur, other, prev)
                 formula.add(-glit, cur, -other)
                 formula.add(-glit, cur, -prev)
             for j in range(i + 1, n + 1):
                 # comparator (i, j): channel i receives the minimum
                 glit = vm.g(k, i, j)
-                other = vm.v(x, k - 1, j)
+                other = before[j - 1]
                 formula.add(-glit, cur, -other, -prev)
                 formula.add(-glit, -cur, other)
                 formula.add(-glit, -cur, prev)
@@ -402,11 +436,12 @@ def encode_redundant_sorts(vm: VarMap, formula: CnfFormula, x: Bits) -> None:
     if r <= 0:
         raise EncodingError(f"input {x} is sorted; no window to strengthen")
     for k in range(vm.start_layer + 1, vm.d + 1):
+        before, after = vm.layer(x, k - 1), vm.layer(x, k)
         for i in range(t, t + r):
             down = vm.one_down(k, i, t + r - 1, formula)
             up = vm.one_up(k, t, i, formula)
-            prev = vm.v(x, k - 1, i)
-            cur = vm.v(x, k, i)
+            prev = before[i - 1]
+            cur = after[i - 1]
             formula.add(*((-prev, cur) if down is None else (-prev, down, cur)))
             formula.add(*((prev, -cur) if up is None else (prev, up, -cur)))
 
@@ -419,7 +454,9 @@ class _Template:
     the list ``[constants..., +block ids..., -block ids...]`` of the block it
     is applied to (0 is one of the constants), or from that list read
     through a table, as ``CnfFormula.runs`` does.  ``reach`` is the largest
-    variable among the constants.
+    variable among the constants.  A template made by ``of`` also records the
+    role of each constant in its VarMap, so that ``bind`` can give the same
+    clauses over the ids of another VarMap of that shape.
     """
 
     def __init__(self, entries: list[int], block: range):
@@ -446,7 +483,19 @@ class _Template:
         scratch = CnfFormula()
         encode(vm, scratch, x)
         (entries,) = scratch.parts  # only ``add`` wrote to it: one plain part
-        return cls(entries, vm.block(x))
+        template = cls(entries, vm.block(x))
+        role_of = {var: role for role, var in vm.roles()}
+        # (sign, role) of each constant in vm, for ``bind``; 0 is (0, None)
+        template.roles = [((c > 0) - (c < 0), role_of.get(abs(c))) for c in template.constants]
+        return template
+
+    def bind(self, vm: VarMap) -> _Template:
+        """The same clauses, with each constant the id ``vm`` gives its role:
+        one lookup per constant."""
+        bound = copy(self)
+        bound.constants = [sign * vm.id_of(role) if sign else 0 for sign, role in self.roles]
+        bound.reach = max(map(abs, bound.constants), default=0)
+        return bound
 
 
 def encode_inputs(
@@ -458,31 +507,40 @@ def encode_inputs(
 
     Only the first input, and the first input with each window, go through
     those functions, which allocate the auxiliaries in order and write their
-    definitions.  Every later input copies its clauses from templates, each
-    derived from the second input that needs it, so the output is the same as
-    encoding each in turn, and no template is built that is not applied.
+    definitions.  Every later input applies the templates of its shape
+    (``_shape``), bound to this instance's ids once, when first applied, so
+    the output is the same as encoding each input in turn.
     """
     for x in inputs:
         vm.register_input(x)  # keep all value chains ahead of the auxiliaries
-    chain = None
-    # the template of each window seen, None until a second input has it
-    windows: dict[tuple[int, int], _Template | None] = {}
+    if not inputs:
+        return
+    shape = _shape(vm.n, vm.d, vm.start_layer)
+    # the shape's templates this instance applies, by window (None for the
+    # value chain), bound to its ids
+    bound: dict[tuple[int, int] | None, _Template] = {}
+
+    def apply(key: tuple[int, int] | None, x: Bits) -> None:
+        template = bound.get(key)
+        if template is None:
+            shared = shape.chain if key is None else shape.window(key, x)
+            template = bound[key] = shared.bind(vm)
+        formula.add_template(template, vm.block(x))
+
+    encode_sorts(vm, formula, inputs[0])
+    windows = set()
     for at, x in enumerate(inputs):
-        if at == 0:
-            encode_sorts(vm, formula, x)
-        else:
-            chain = chain or _Template.of(vm, _encode_chain, x)
+        if at:
             encode_units(vm, formula, x, vm.start_layer, x)
-            formula.add_template(chain, vm.block(x))
+            apply(None, x)
             encode_units(vm, formula, x, vm.d, tuple(sorted(x)))
         if redundant_sorts:
             key = window_of(x)
-            if key not in windows:
-                windows[key] = None
+            if key in windows:
+                apply(key, x)
+            else:
+                windows.add(key)
                 encode_redundant_sorts(vm, formula, x)
-                continue
-            windows[key] = windows[key] or _Template.of(vm, encode_redundant_sorts, x)
-            formula.add_template(windows[key], vm.block(x))
 
 
 def encode_last_layers(vm: VarMap, formula: CnfFormula) -> None:
@@ -508,39 +566,35 @@ def encode_last_layers(vm: VarMap, formula: CnfFormula) -> None:
         formula.add(-vm.g(d - 1, i, i + 2), vm.g(d, i, i + 1), vm.g(d, i + 1, i + 2))
 
 
-def encode_sigma(
-    vm: VarMap,
-    formula: CnfFormula,
-    sigma1: bool = True,
-    sigma2: bool = True,
-    sigma3: bool = True,
-) -> None:
-    """Search-space restrictions that keep at least one optimal witness:
+# Search-space restrictions that keep at least one optimal witness.
 
-    * sigma1: no comparator repeated in consecutive layers (a repeat is dead);
-    * sigma2: a comparator is placed as early as possible -- one endpoint must
-      have been busy in the previous layer.  Never asserted across a fixed
-      prefix boundary, where moving a comparator up is not available;
-    * sigma3: every adjacent pair is compared somewhere (necessary to sort).
-    """
-    n, d = vm.n, vm.d
-    if sigma1:
-        for k in range(max(1, vm.start_layer), d):
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    formula.add(-vm.g(k, i, j), -vm.g(k + 1, i, j))
-    if sigma2:
-        for k in range(vm.start_layer + 2, d + 1):
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    formula.add(
-                        -vm.g(k, i, j),
-                        vm.used(k - 1, i, formula),
-                        vm.used(k - 1, j, formula),
-                    )
-    if sigma3:
-        for i in range(1, n):
-            formula.add(*(vm.g(k, i, i + 1) for k in range(1, d + 1)))
+
+def encode_sigma1(vm: VarMap, formula: CnfFormula) -> None:
+    """No comparator repeated in consecutive layers (a repeat is dead)."""
+    for k in range(max(1, vm.start_layer), vm.d):
+        for i in range(1, vm.n + 1):
+            for j in range(i + 1, vm.n + 1):
+                formula.add(-vm.g(k, i, j), -vm.g(k + 1, i, j))
+
+
+def encode_sigma2(vm: VarMap, formula: CnfFormula) -> None:
+    """A comparator is placed as early as possible: one endpoint must have
+    been busy in the previous layer.  Never asserted across a fixed prefix
+    boundary, where moving a comparator up is not available."""
+    for k in range(vm.start_layer + 2, vm.d + 1):
+        for i in range(1, vm.n + 1):
+            for j in range(i + 1, vm.n + 1):
+                formula.add(
+                    -vm.g(k, i, j),
+                    vm.used(k - 1, i, formula),
+                    vm.used(k - 1, j, formula),
+                )
+
+
+def encode_sigma3(vm: VarMap, formula: CnfFormula) -> None:
+    """Every adjacent pair is compared somewhere (necessary to sort)."""
+    for i in range(1, vm.n):
+        formula.add(*(vm.g(k, i, i + 1) for k in range(1, vm.d + 1)))
 
 
 def prefix_network(prefix: Sentence, n: int) -> Network:
@@ -589,6 +643,53 @@ def _counter_template(n: int, d: int, s: int) -> _Template:
     return _Template(entries, range(first, vm.num_vars + 1))
 
 
+class _Shape:
+    """What every instance of one shape (n, d, start layer) encodes alike,
+    built once in a scratch VarMap of the shape: the entries of the families
+    that name only g literals (validity, last layers, sigma1 and sigma3),
+    which every VarMap of the shape numbers alike; the value-chain template;
+    and the ``encode_redundant_sorts`` template of each window, built when an
+    instance first needs it."""
+
+    def __init__(self, n: int, d: int, start_layer: int):
+        self.vm = VarMap(n, d, start_layer)
+        self.valid = self._entries(encode_valid)
+        self.last_layers = self._entries(encode_last_layers)
+        self.sigma1 = self._entries(encode_sigma1)
+        self.sigma3 = self._entries(encode_sigma3)
+        # the clauses of a value chain do not depend on the input's bits
+        self.chain = self._template(_encode_chain, (0,) * n)
+        self.windows: dict[tuple[int, int], _Template] = {}
+
+    def _entries(self, encode) -> list[int]:
+        scratch = CnfFormula()
+        encode(self.vm, scratch)
+        return scratch.parts[0]
+
+    def _template(self, encode, x: Bits) -> _Template:
+        self.vm.register_input(x)
+        encode(self.vm, CnfFormula(), x)  # allocates every auxiliary it names
+        return _Template.of(self.vm, encode, x)
+
+    def window(self, key: tuple[int, int], x: Bits) -> _Template:
+        """The template of window ``key``, built from x, an input with it,
+        on first request."""
+        if key not in self.windows:
+            self.windows[key] = self._template(encode_redundant_sorts, x)
+        return self.windows[key]
+
+
+# shapes ``_shape`` keeps per process.  A level builds its instances at one
+# shape, and a search revisits a few: one per depth with a prefix, one per
+# depth without
+SHAPES = 8
+
+
+@lru_cache(maxsize=SHAPES)
+def _shape(n: int, d: int, start_layer: int) -> _Shape:
+    return _Shape(n, d, start_layer)
+
+
 def build_instance(
     n: int, d: int, s: int, options: EncodeOptions | None = None
 ) -> tuple[CnfFormula, VarMap]:
@@ -602,8 +703,9 @@ def build_instance(
         raise EncodingError(f"need s >= 1, got s={s}")
     options = options or EncodeOptions()
     vm = VarMap(n, d, start_layer=2 if options.prefix is not None else 0)
+    shape = _shape(n, d, vm.start_layer)
     formula = CnfFormula()
-    encode_valid(vm, formula)
+    formula.extend(shape.valid)
     if options.prefix is not None:
         inputs = encode_prefix(vm, formula, options.prefix)
     else:
@@ -612,8 +714,13 @@ def build_instance(
         inputs = [x for x in all_inputs(n) if not is_sorted_bits(x)]
     encode_inputs(vm, formula, inputs, options.redundant_sorts)
     if options.last_layer:
-        encode_last_layers(vm, formula)
-    encode_sigma(vm, formula, options.sigma1, options.sigma2, options.sigma3)
+        formula.extend(shape.last_layers)
+    if options.sigma1:
+        formula.extend(shape.sigma1)
+    if options.sigma2:
+        encode_sigma2(vm, formula)  # it names used flags, whose ids differ by instance
+    if options.sigma3:
+        formula.extend(shape.sigma3)
     counter = _counter_template(n, d, s)
     formula.add_template(counter, vm.reserve(counter.width))
     formula.num_vars = vm.num_vars

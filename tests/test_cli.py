@@ -231,3 +231,31 @@ def test_input_errors_are_reported_without_a_traceback(tmp_path, monkeypatch, ca
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"sortnetsat: error: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "3", "3", "3"],
+     ["optimize", "3", "--mode", "size", "--depth", "3"],
+     ["optimize", "4", "--mode", "size", "--depth", "3", "--jobs", "2"]],
+    ids=["solve", "optimize", "optimize-in-a-worker"],
+)
+def test_a_solver_that_is_not_one_ends_in_one_error_line(tmp_path, monkeypatch, capsys, argv):
+    # ``true`` runs and exits 0, but prints no status line
+    monkeypatch.setenv(SOLVER_ENV_VAR, "true")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err == ("sortnetsat: error: no 's' status line in solver output "
+                   "(exit code 0, stderr: '')\n")
+
+
+def test_solver_build_without_a_compiler_ends_in_one_error_line(monkeypatch, capsys):
+    monkeypatch.setattr(cli.csolver, "compiler", lambda: None)
+    with pytest.raises(SystemExit) as exc:
+        main(["solver-build"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == (
+        "sortnetsat: error: no C compiler found; set SORTNETSAT_SOLVER instead\n")

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import tracemalloc
 from collections import Counter
 
@@ -15,15 +16,16 @@ from sortnetsat.encoding import (
     encode_last_layers,
     encode_prefix,
     encode_redundant_sorts,
-    encode_sigma,
+    encode_sigma1,
+    encode_sigma3,
     encode_sorts,
     encode_valid,
     prefix_network,
     window_of,
 )
 from sortnetsat.networks import all_inputs, is_sorted_bits
-from sortnetsat.solving import emit_dimacs
-from sortnetsat.words import parse_sentence
+from sortnetsat.solving import emit_dimacs, write_minicdcl
+from sortnetsat.words import format_sentence, generate_prefixes, parse_sentence
 
 
 def fresh(n, d, start=0):
@@ -97,10 +99,10 @@ def test_last_layer_units():
 
 def test_sigma_families():
     vm, f = fresh(2, 2)
-    encode_sigma(vm, f, sigma1=True, sigma2=False, sigma3=False)
+    encode_sigma1(vm, f)
     assert (-vm.g(1, 1, 2), -vm.g(2, 1, 2)) in f.clauses
     vm, f = fresh(3, 1)
-    encode_sigma(vm, f, sigma1=False, sigma2=False, sigma3=True)
+    encode_sigma3(vm, f)
     assert list(f.clauses) == [(vm.g(1, 1, 2),), (vm.g(1, 2, 3),)]
 
 
@@ -335,13 +337,15 @@ def test_templates_match_encoding_each_input(monkeypatch, options):
     points = [(n, d, None) for n in (2, 3, 5, 6) for d in (1, 2, 4)]
     points += [(6, d, "(0,0,12)") for d in (2, 3, 5)]
     points += [(7, d, "(0,1221c)") for d in (2, 4)]
-    # some windows of these occur once, others repeat: a window's template is
-    # built from its second input, and never for a window seen once
+    # some windows of these occur once, others repeat: the first input with a
+    # window is encoded clause by clause, every later one applies the shape's
+    # template of that window, bound to the instance's ids
     points += [(7, d, p) for d in (3, 6) for p in ("(012,2112)", "(0122112)")]
+    points += [(9, 4, format_sentence(generate_prefixes(9, "T'").sentences[2]))]
     points += [(2, 2, "(12)"), (2, 3, "(12)")]  # no prefix output is left unsorted
     for n, d, prefix in points:
         opts = EncodeOptions(**options).with_prefix(parse_sentence(prefix) if prefix else None)
-        if n == 7 and d != 2:
+        if n >= 7 and d != 2:
             inputs = encode_prefix(VarMap(n, d, 2), CnfFormula(), opts.prefix)
             counts = set(Counter(map(window_of, inputs)).values())
             assert 1 in counts and max(counts) > 1, prefix
@@ -413,6 +417,75 @@ def test_counter_cache_stays_within_its_bound():
     hits = encoding._counter_template.cache_info().hits
     build_instance(4, 3, 3 * bound - 1)
     assert encoding._counter_template.cache_info().hits == hits + 1
+
+
+def _texts(n, d, s, options):
+    formula, vm = build_instance(n, d, s, options)
+    minicdcl = io.StringIO()
+    write_minicdcl(formula, minicdcl)
+    return emit_dimacs(formula), minicdcl.getvalue(), vm.dump_map()
+
+
+def test_shape_cache_is_invisible():
+    """A mixed sequence of instances, built in one process with the shapes
+    its earlier instances cached, gives the text each gives when built with
+    no shape cached."""
+    t7 = generate_prefixes(7, "T'").sentences
+    opts = EncodeOptions()
+    points = [(7, 6, 16, opts.with_prefix(p)) for p in t7[::5]]
+    points += [(7, 4, s, opts.with_prefix(t7[k])) for s, k in ((9, 3), (12, 20))]
+    points += [(6, 5, 12, opts), (7, 6, 16, opts.with_prefix(t7[1]))]
+    points += [(7, 6, 16, EncodeOptions(redundant_sorts=False).with_prefix(p)) for p in t7[2:4]]
+    points += [(9, 7, 25, opts.with_prefix(generate_prefixes(9, "T'").sentences[2]))]
+    encoding._shape.cache_clear()
+    texts = [_texts(*point) for point in points]
+    assert encoding._shape.cache_info().hits > len(points)
+    for point, text in zip(points, texts):
+        encoding._shape.cache_clear()
+        assert _texts(*point) == text, point
+
+
+def test_instances_of_one_shape_share_its_templates(monkeypatch):
+    t7 = generate_prefixes(7, "T'").sentences
+    opts = EncodeOptions()
+    encoding._shape.cache_clear()
+    first = [build_instance(7, 5, 14, opts.with_prefix(p))[0] for p in t7]
+    shape = encoding._shape(7, 5, 2)
+    windows = dict(shape.windows)
+    made = []
+    init = encoding._Template.__init__
+
+    def counted(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(encoding._Template, "__init__", counted)
+    again = [build_instance(7, 5, 13, opts.with_prefix(p))[0] for p in t7]
+    # the level's counter is the one template the second pass builds
+    assert made == [encoding._counter_template(7, 5, 13)]
+    assert shape.windows == windows
+    # each instance binds the shape's chain template to its own ids: the
+    # getter is shared, the constants are the instance's
+    chains = [f.parts[1][0] for f in (first[0], again[0], first[-1])]
+    assert chains[0].get is chains[1].get is chains[2].get is shape.chain.get
+    assert chains[0] is not chains[1]
+    assert chains[0].constants == chains[1].constants != chains[2].constants
+
+
+def test_shape_cache_stays_within_its_bound():
+    encoding._shape.cache_clear()
+    bound = encoding.SHAPES
+    assert encoding._shape.cache_info().maxsize == bound
+    for d in range(1, 3 * bound):
+        build_instance(4, d, 5)
+        assert encoding._shape.cache_info().currsize <= bound
+    assert encoding._shape.cache_info().currsize == bound
+    # the last bound shapes are the ones kept
+    misses = encoding._shape.cache_info().misses
+    build_instance(4, 3 * bound - 1, 5)
+    assert encoding._shape.cache_info().misses == misses
+    build_instance(4, 1, 5)
+    assert encoding._shape.cache_info().misses == misses + 1
 
 
 def test_map_dump_mentions_roles():

@@ -112,3 +112,16 @@ def test_the_benchmark_hooks_find_every_name_they_patch():
                           env={**env, "PYTHONPATH": "src"},
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_reproduce_small_optima_reports_a_solver_that_is_not_one(tmp_path, monkeypatch,
+                                                                 capsys):
+    # ``true`` runs and exits 0, but prints no status line
+    monkeypatch.setenv(SOLVER_ENV_VAR, "true")
+    with pytest.raises(SystemExit) as exc:
+        _run(monkeypatch, capsys, "reproduce_small_optima.py", "--max-n", "3",
+             "--catalog", str(tmp_path / "optima.jsonl"))
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err == ("reproduce_small_optima.py: error: no 's' status line in solver output "
+                   "(exit code 0, stderr: '')\n")

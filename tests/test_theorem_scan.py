@@ -133,3 +133,15 @@ def test_theorem_scan_rejects_a_level_it_cannot_scan(tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert f"theorem_scan.py: error: {message}" in err and "Traceback" not in err
     assert not catalog.exists()
+
+
+def test_theorem_scan_reports_a_solver_that_is_not_one(tmp_path, monkeypatch, capsys):
+    # ``true`` runs and exits 0, but prints no status line; the scan runs at
+    # --jobs 2, so the error comes out of a worker
+    monkeypatch.setenv(SOLVER_ENV_VAR, "true")
+    with pytest.raises(SystemExit) as exc:
+        _scan(monkeypatch, capsys, tmp_path / "scan.jsonl", ("4", "3", "5"))
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err == ("theorem_scan.py: error: no 's' status line in solver output "
+                   "(exit code 0, stderr: '')\n")
