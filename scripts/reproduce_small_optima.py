@@ -9,8 +9,9 @@ instant.
 Bad arguments (--min-n below 2, --max-n below --min-n, a --timeout that is
 not positive and finite, a --catalog that is a directory or lies in a
 missing one, a SORTNETSAT_SOLVER that names no program) are reported before
-the solver is built.  A solver that crashes or whose output cannot be read
-ends the run with one error line and exit code 1.
+the solver is built.  A bundled solver that does not compile, a solver that
+crashes or one whose output cannot be read ends the run with one error line
+and exit code 1.
 
 Usage:
     python scripts/reproduce_small_optima.py [--max-n 8] [--catalog results.jsonl]
@@ -23,10 +24,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sortnetsat.cli import UsageError, _check_output
+from sortnetsat.cli import UsageError, _check_output, _solver_config
 from sortnetsat.catalog import ResultCatalog
+from sortnetsat.csolver import BuildError
 from sortnetsat.search import optimize
-from sortnetsat.solving import SolverBackendError, default_config
+from sortnetsat.solving import SolverBackendError
 
 
 def main() -> int:
@@ -40,16 +42,13 @@ def main() -> int:
         ap.error(f"--min-n must be at least 2, got {args.min_n}")
     if args.max_n < args.min_n:
         ap.error(f"--max-n must be at least --min-n ({args.min_n}), got {args.max_n}")
-    if not 0 < args.timeout < float("inf"):
-        ap.error(f"--timeout must be positive and finite, got {args.timeout:g}")
     try:
         _check_output(args.catalog)
-    except UsageError as exc:
+        config = _solver_config(args)
+    except UsageError as exc:  # a bad --catalog or --timeout, a SORTNETSAT_SOLVER that cannot run
         ap.error(str(exc))
-    try:
-        config = default_config(timeout=args.timeout)
-    except ValueError as exc:  # a SORTNETSAT_SOLVER that cannot run
-        ap.error(str(exc))
+    except BuildError as exc:
+        ap.exit(1, f"{ap.prog}: error: {exc}\n")
 
     catalog = ResultCatalog(args.catalog)
     print(f"solver: {config.name}")

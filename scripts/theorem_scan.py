@@ -11,9 +11,9 @@ witness that fits) is not solved again; its line reads "implied by d=D s=S".
 A level that cannot be scanned (d < 2, s < 1, an empty T'_n, --jobs not
 positive, a --timeout not positive and finite), a --catalog that is a
 directory or lies in a missing one, or a SORTNETSAT_SOLVER that names no
-program, is an argument error, reported before any solver starts.  A solver
-that crashes or whose output cannot be read ends the scan with one error
-line and exit code 1.
+program, is an argument error, reported before any solver starts.  A
+bundled solver that does not compile, a solver that crashes or one whose
+output cannot be read ends the scan with one error line and exit code 1.
 
 Examples:
     python scripts/theorem_scan.py 10 7 30            # 56 s on 2 cores at d17253d
@@ -30,10 +30,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sortnetsat.cli import UsageError, _check_output
+from sortnetsat.cli import UsageError, _check_output, _solver_config
 from sortnetsat.catalog import ResultCatalog
+from sortnetsat.csolver import BuildError
 from sortnetsat.search import run_level
-from sortnetsat.solving import SAT, UNKNOWN, UNSAT, SolverBackendError, default_config
+from sortnetsat.solving import SAT, UNKNOWN, UNSAT, SolverBackendError
 from sortnetsat.words import format_sentence, generate_prefixes
 
 
@@ -52,21 +53,18 @@ def main() -> int:
         ap.error(f"s must be positive, got {args.s}")
     if args.jobs < 1:
         ap.error(f"--jobs must be at least 1, got {args.jobs}")
-    if not 0 < args.timeout < float("inf"):
-        ap.error(f"--timeout must be positive and finite, got {args.timeout:g}")
-    try:
-        _check_output(args.catalog)
-    except UsageError as exc:
-        ap.error(str(exc))
     if args.n < 1:
         ap.error(f"n must be positive, got {args.n}")
     prefixes = generate_prefixes(args.n, "T'").sentences
     if not prefixes:
         ap.error(f"T'_{args.n} is empty: there is no prefix to scan")
     try:
-        config = default_config(timeout=args.timeout)
-    except ValueError as exc:  # a SORTNETSAT_SOLVER that cannot run
+        _check_output(args.catalog)
+        config = _solver_config(args)
+    except UsageError as exc:  # a bad --catalog or --timeout, a SORTNETSAT_SOLVER that cannot run
         ap.error(str(exc))
+    except BuildError as exc:
+        ap.exit(1, f"{ap.prog}: error: {exc}\n")
 
     print(f"(n={args.n}, d={args.d}, s={args.s}) over {len(prefixes)} prefixes, "
           f"solver {config.name}")

@@ -49,15 +49,15 @@ def binary_path() -> str | None:
     return str(cache_dir() / f"minicdcl-{tag}")
 
 
-def ensure_built(quiet: bool = False) -> str | None:
-    """Compile the bundled solver if needed; returns the binary path.  When
-    no C compiler or no source is available, or the compile fails, BuildError,
-    or None when ``quiet``."""
+def ensure_built() -> str:
+    """Compile the bundled solver if needed; returns the binary path.
+    BuildError when no C compiler or no source is available, or the compile
+    fails."""
     cc, path = compiler(), binary_path()
-    if cc is None or path is None:
-        if not quiet:
-            raise BuildError("no C compiler found; set SORTNETSAT_SOLVER instead")
-        return None
+    if cc is None:
+        raise BuildError("no C compiler found; set SORTNETSAT_SOLVER instead")
+    if path is None:
+        raise BuildError(f"the bundled solver's source {_SOURCE} is missing")
     out = Path(path)
     if out.exists():
         return str(out)
@@ -69,8 +69,9 @@ def ensure_built(quiet: bool = False) -> str | None:
         cmd = [cc, *CFLAGS, "-o", tmp, str(_SOURCE)]
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
-            if not quiet:
-                raise BuildError(f"solver build failed:\n{proc.stderr}")
-            return None
+            # one line, as the commands report it: the compiler's first error
+            first = next((line for line in proc.stderr.splitlines() if "error" in line),
+                         f"{cc} exited with status {proc.returncode}")
+            raise BuildError(f"solver build failed: {first}")
         os.replace(tmp, out)
     return str(out)

@@ -14,19 +14,16 @@ with each window, and copies every later input's clauses from templates.
 The output is the same as encoding each input in turn; ``ENCODER_VERSION``
 names it.
 
-Those templates, and the families that name only g literals (validity, last
-layers, sigma1 and sigma3), depend only on the instance's shape: n, d and
-the start layer.  So each process builds them once per shape (``_shape``, a
-small bounded cache), in a scratch VarMap of that shape.  A template records
-each auxiliary it names (a used, oneDown or oneUp flag) and each g literal by
-its role, and an instance binds it to its own ids, once, when it first
-applies it.
-
-The cardinality network, last in every formula, is a template too.  It
-depends only on the g literals, which (n, d) fixes, and on s, and its
-auxiliaries are one block of ids.  So each process builds it once per
-(n, d, s) (``_counter_template``, a small bounded cache), and every instance
-at that level applies it to the block of ids it reserves for them.
+Those templates, the families that name only g literals (validity, last
+layers, sigma1 and sigma3) and the cardinality network, last in every
+formula, depend only on the instance's shape (n, d and the start layer) and,
+for the counter, on s.  So each process builds them once per shape
+(``_shape``, a small bounded cache), in a scratch VarMap of that shape, and
+drops them with it.  A template records each auxiliary it names (a used,
+oneDown or oneUp flag) and each g literal by its role, and an instance binds
+it to its own ids, once, when it first applies it; the counter names only g
+literals, which every VarMap of the shape numbers alike, and an instance
+applies it to the block of ids it reserves for its auxiliaries.
 
 A formula keeps those copies as references: its store (``CnfFormula``)
 holds, in DIMACS order, plain lists of literals, each clause ended by a 0,
@@ -51,7 +48,7 @@ from operator import itemgetter, neg
 from typing import Callable, Iterable, Iterator
 
 from sortnetsat import cardinality
-from sortnetsat.networks import Bits, Network, all_inputs, is_sorted_bits, unsorted_outputs
+from sortnetsat.networks import Bits, Network, unsorted_outputs
 from sortnetsat.words import Sentence, format_sentence, net_of, word_channels
 
 
@@ -607,40 +604,14 @@ def prefix_network(prefix: Sentence, n: int) -> Network:
     return net_of(prefix)
 
 
-def encode_prefix(vm: VarMap, formula: CnfFormula, prefix: Sentence) -> list[Bits]:
-    """Pin layers 1 and 2 to the prefix network; returns the still-unsorted
-    prefix outputs, the only vectors the remaining layers must handle."""
-    net = prefix_network(prefix, vm.n)
-    placed = {(k, c): True for k, c in net.comparators()}
+def encode_prefix(vm: VarMap, formula: CnfFormula, net: Network) -> None:
+    """Pin layers 1 and 2 to those of ``net``, the prefix network."""
+    placed = set(net.comparators())
     for k in (1, 2):
         for i in range(1, vm.n + 1):
             for j in range(i + 1, vm.n + 1):
                 lit = vm.g(k, i, j)
-                formula.add(lit if placed.get((k, (i, j))) else -lit)
-    return sorted(unsorted_outputs(net))
-
-
-# counter templates ``_counter_template`` keeps per process.  A level builds
-# its instances at one (n, d, s), and a worker of ``optimize`` lives through
-# all its levels, so it reuses the template of every level it revisits
-COUNTER_TEMPLATES = 8
-
-
-@lru_cache(maxsize=COUNTER_TEMPLATES)
-def _counter_template(n: int, d: int, s: int) -> _Template:
-    """The cardinality network for "at most s of the g literals of an
-    (n, d) VarMap", followed by its unit clause when it has one, as a
-    template over its auxiliaries.  Those are one block of ids, allocated
-    right after the g literals here and wherever ``VarMap.reserve`` puts
-    them in an instance; the g literals, which every VarMap numbers alike,
-    are its constants."""
-    vm = VarMap(n, d)
-    first = vm.num_vars + 1
-    card = cardinality.build_atmost(vm.g_lits(), s, vm.fresh)
-    entries = [e for clause in card.clauses for e in (*clause, 0)]
-    if card.c_target is not None:
-        entries += (-card.c_target, 0)
-    return _Template(entries, range(first, vm.num_vars + 1))
+                formula.add(lit if (k, (i, j)) in placed else -lit)
 
 
 class _Shape:
@@ -648,8 +619,9 @@ class _Shape:
     built once in a scratch VarMap of the shape: the entries of the families
     that name only g literals (validity, last layers, sigma1 and sigma3),
     which every VarMap of the shape numbers alike; the value-chain template;
-    and the ``encode_redundant_sorts`` template of each window, built when an
-    instance first needs it."""
+    and, each built when an instance first needs it, the
+    ``encode_redundant_sorts`` template of each window and the cardinality
+    network of each s."""
 
     def __init__(self, n: int, d: int, start_layer: int):
         self.vm = VarMap(n, d, start_layer)
@@ -660,6 +632,7 @@ class _Shape:
         # the clauses of a value chain do not depend on the input's bits
         self.chain = self._template(_encode_chain, (0,) * n)
         self.windows: dict[tuple[int, int], _Template] = {}
+        self.counters: dict[int, _Template] = {}
 
     def _entries(self, encode) -> list[int]:
         scratch = CnfFormula()
@@ -677,6 +650,21 @@ class _Shape:
         if key not in self.windows:
             self.windows[key] = self._template(encode_redundant_sorts, x)
         return self.windows[key]
+
+    def counter(self, s: int) -> _Template:
+        """The cardinality network for "at most s of the g literals",
+        followed by its unit clause when it has one, as a template over its
+        auxiliaries, on first request.  Those are one block of ids, here the
+        next ones of the scratch VarMap and in an instance those that
+        ``VarMap.reserve`` gives; the g literals are its constants."""
+        if s not in self.counters:
+            first = self.vm.num_vars + 1
+            card = cardinality.build_atmost(self.vm.g_lits(), s, self.vm.fresh)
+            entries = [e for clause in card.clauses for e in (*clause, 0)]
+            if card.c_target is not None:
+                entries += (-card.c_target, 0)
+            self.counters[s] = _Template(entries, range(first, self.vm.num_vars + 1))
+        return self.counters[s]
 
 
 # shapes ``_shape`` keeps per process.  A level builds its instances at one
@@ -698,6 +686,8 @@ def build_instance(
 
     Satisfiable exactly when a sorting network on n channels with at most d
     layers and at most s comparators (extending the prefix, if fixed) exists.
+    Its inputs are the unsorted outputs of the network it extends: the
+    prefix network, or the empty network when there is no prefix.
     """
     if s < 1:
         raise EncodingError(f"need s >= 1, got s={s}")
@@ -706,13 +696,14 @@ def build_instance(
     shape = _shape(n, d, vm.start_layer)
     formula = CnfFormula()
     formula.extend(shape.valid)
-    if options.prefix is not None:
-        inputs = encode_prefix(vm, formula, options.prefix)
+    if options.prefix is None:
+        net = Network(n, ())
     else:
-        # every comparator network leaves a sorted input sorted, so only the
-        # unsorted ones constrain it
-        inputs = [x for x in all_inputs(n) if not is_sorted_bits(x)]
-    encode_inputs(vm, formula, inputs, options.redundant_sorts)
+        net = prefix_network(options.prefix, n)
+        encode_prefix(vm, formula, net)
+    # a network leaves every sorted vector sorted, so only the unsorted ones
+    # constrain the layers after it
+    encode_inputs(vm, formula, sorted(unsorted_outputs(net)), options.redundant_sorts)
     if options.last_layer:
         formula.extend(shape.last_layers)
     if options.sigma1:
@@ -721,7 +712,7 @@ def build_instance(
         encode_sigma2(vm, formula)  # it names used flags, whose ids differ by instance
     if options.sigma3:
         formula.extend(shape.sigma3)
-    counter = _counter_template(n, d, s)
+    counter = shape.counter(s)
     formula.add_template(counter, vm.reserve(counter.width))
     formula.num_vars = vm.num_vars
     return formula, vm

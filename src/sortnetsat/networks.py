@@ -150,9 +150,13 @@ def is_sorting_network(net: Network) -> bool:
 def unsorted_outputs(prefix: Network) -> set[Bits]:
     """Distinct still-unsorted vectors among the outputs of ``prefix``.
 
-    These are exactly the inputs a suffix network must still sort.
+    These are exactly the inputs a suffix network must still sort, read off
+    the bit-parallel pass of ``is_sorting_network``: written as bit strings,
+    the output columns hold one input's output at each position.
     """
-    outputs = (apply_network(prefix, x) for x in all_inputs(prefix.n))
+    cols = _apply_columns(prefix, _channel_columns(prefix.n))
+    rows = set(zip(*(format(c, f"0{1 << prefix.n}b") for c in cols)))
+    outputs = (tuple(map(int, row)) for row in rows)
     return {y for y in outputs if not is_sorted_bits(y)}
 
 

@@ -287,7 +287,9 @@ def default_config(timeout: float = 3600.0) -> SolverConfig:
     """The one place that picks the solver: the $SORTNETSAT_SOLVER command,
     else the bundled CDCL solver (compiled on first use), else the builtin
     DPLL when there is no C compiler.  ValueError for a set command that is
-    blank, has unbalanced quotes or whose program is not found."""
+    blank, has unbalanced quotes or whose program is not found;
+    ``csolver.BuildError`` when there is a compiler but the bundled source
+    is missing or does not compile."""
     env = os.environ.get(SOLVER_ENV_VAR)
     if env:
         try:
@@ -297,5 +299,6 @@ def default_config(timeout: float = 3600.0) -> SolverConfig:
         if not program or shutil.which(program[0]) is None:
             raise ValueError(f"{SOLVER_ENV_VAR}={env!r} names no program that can be found")
         return SolverConfig(env, timeout)
-    binary = csolver.ensure_built(quiet=True)
-    return SolverConfig(f"{binary} {{cnf}}" if binary else None, timeout)
+    if csolver.compiler() is None:
+        return SolverConfig(None, timeout)
+    return SolverConfig(f"{csolver.ensure_built()} {{cnf}}", timeout)

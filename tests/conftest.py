@@ -45,10 +45,22 @@ def net_from_record(rec: dict) -> Network:
 @pytest.fixture(scope="session")
 def bundled_solver() -> str:
     """The path of the bundled solver's binary."""
-    binary = csolver.ensure_built(quiet=True)
-    if binary is None:
+    if csolver.compiler() is None:
         pytest.skip("no C compiler available to build the bundled solver")
-    return binary
+    return csolver.ensure_built()
+
+
+@pytest.fixture
+def uncompilable_source(tmp_path, monkeypatch) -> None:
+    """The bundled solver's source with a line that is not C appended, built
+    into a cache under tmp_path, and no SORTNETSAT_SOLVER set."""
+    if csolver.compiler() is None:
+        pytest.skip("no C compiler available to fail a build")
+    source = tmp_path / "minicdcl.c"
+    source.write_text(csolver._SOURCE.read_text() + "this is not C;\n")
+    monkeypatch.setattr(csolver, "_SOURCE", source)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.delenv("SORTNETSAT_SOLVER", raising=False)
 
 
 @pytest.fixture(scope="session")

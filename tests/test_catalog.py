@@ -145,9 +145,20 @@ import sortnetsat.search
 assert sortnetsat.search.ResultCatalog is sortnetsat.catalog.ResultCatalog
 """
 
+# a command's set-up, which perfbench's setup_s times: ``search._worker_pool``
+# imports the process pool only when a level runs, so the set-up never loads it
+SETUP = """
+import sys
+import sortnetsat.cli
+sortnetsat.cli.default_config()
+for name in ("concurrent.futures", "multiprocessing"):
+    assert name not in sys.modules, f"the set-up imports {name}"
+"""
 
-def test_the_catalog_imports_neither_the_search_nor_the_process_pool():
-    proc = subprocess.run([sys.executable, "-c", BOUNDARY], cwd=REPO,
+
+@pytest.mark.parametrize("script", [BOUNDARY, SETUP], ids=["catalog", "cli-set-up"])
+def test_the_catalog_imports_neither_the_search_nor_the_process_pool(script):
+    proc = subprocess.run([sys.executable, "-c", script], cwd=REPO,
                           env={**os.environ, "PYTHONPATH": "src"},
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -252,6 +252,27 @@ def test_a_solver_that_is_not_one_ends_in_one_error_line(tmp_path, monkeypatch, 
                    "(exit code 0, stderr: '')\n")
 
 
+@pytest.mark.parametrize("argv", [["solve", "4", "3", "5"],
+                                  ["optimize", "4", "--mode", "size", "--depth", "3"]],
+                         ids=["solve", "optimize"])
+def test_a_bundled_solver_that_does_not_compile_ends_in_one_error_line(
+    uncompilable_source, monkeypatch, capsys, argv
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(cli, "run_task", unreachable)
+    monkeypatch.setattr(cli, "optimize", unreachable)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sortnetsat: error: solver build failed: ")
+    # one line, which carries the compiler's first error
+    assert err.count("\n") == 1
+    assert "error" in err.removeprefix("sortnetsat: error: solver build failed: ")
+
+
 def test_solver_build_without_a_compiler_ends_in_one_error_line(monkeypatch, capsys):
     monkeypatch.setattr(cli.csolver, "compiler", lambda: None)
     with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import io
 import tracemalloc
+import weakref
 from collections import Counter
 
 import pytest
@@ -23,7 +25,7 @@ from sortnetsat.encoding import (
     prefix_network,
     window_of,
 )
-from sortnetsat.networks import all_inputs, is_sorted_bits
+from sortnetsat.networks import all_inputs, apply_network, is_sorted_bits
 from sortnetsat.solving import emit_dimacs, write_minicdcl
 from sortnetsat.words import format_sentence, generate_prefixes, parse_sentence
 
@@ -107,14 +109,21 @@ def test_sigma_families():
 
 
 def test_prefix_fixes_first_two_layers():
+    prefix = parse_sentence("(012,12211221c)")
     vm, f = fresh(11, 8, start=2)
-    inputs = encode_prefix(vm, f, parse_sentence("(012,12211221c)"))
+    net = prefix_network(prefix, 11)
+    encode_prefix(vm, f, net)
     pos = [c[0] for c in f.clauses if len(c) == 1 and c[0] > 0]
     neg = [c[0] for c in f.clauses if len(c) == 1 and c[0] < 0]
     assert len(pos) == 10  # 5 + 5 comparators in the two fixed layers
     assert len(pos) + len(neg) == 2 * (11 * 10 // 2)
+    # the instance encodes the prefix's unsorted outputs, in order
+    _, vm = build_instance(11, 3, 30, EncodeOptions().with_prefix(prefix))
+    inputs = vm.inputs
     assert inputs and all(not is_sorted_bits(x) for x in inputs)
     assert inputs == sorted(inputs)
+    outputs = {apply_network(net, x) for x in all_inputs(11)}
+    assert inputs == sorted(y for y in outputs if not is_sorted_bits(y))
 
 
 def test_prefix_pads_missing_channels_with_free_ones():
@@ -125,9 +134,8 @@ def test_prefix_pads_missing_channels_with_free_ones():
 
 
 def test_full_prefix_leaves_nothing_to_sort():
-    vm, f = fresh(2, 2, start=2)
-    inputs = encode_prefix(vm, f, parse_sentence("(12)"))
-    assert inputs == []
+    _, vm = build_instance(2, 2, 1, EncodeOptions().with_prefix(parse_sentence("(12)")))
+    assert vm.inputs == []
 
 
 def test_build_rejects_bad_dimensions():
@@ -345,11 +353,10 @@ def test_templates_match_encoding_each_input(monkeypatch, options):
     points += [(2, 2, "(12)"), (2, 3, "(12)")]  # no prefix output is left unsorted
     for n, d, prefix in points:
         opts = EncodeOptions(**options).with_prefix(parse_sentence(prefix) if prefix else None)
-        if n >= 7 and d != 2:
-            inputs = encode_prefix(VarMap(n, d, 2), CnfFormula(), opts.prefix)
-            counts = set(Counter(map(window_of, inputs)).values())
-            assert 1 in counts and max(counts) > 1, prefix
         fast, fast_vm = build_instance(n, d, n + 1, opts)
+        if n >= 7 and d != 2:
+            counts = set(Counter(map(window_of, fast_vm.inputs)).values())
+            assert 1 in counts and max(counts) > 1, prefix
         with monkeypatch.context() as m:
             m.setattr(encoding, "encode_inputs", _encode_each_input)
             ref, ref_vm = build_instance(n, d, n + 1, opts)
@@ -363,7 +370,7 @@ def _build_with_a_direct_counter(monkeypatch, n, d, s, options):
     counter, then the clauses of a direct ``build_atmost`` call over fresh
     ids and its unit."""
     with monkeypatch.context() as m:
-        m.setattr(encoding, "_counter_template", lambda n, d, s: encoding._Template([], range(0)))
+        m.setattr(encoding._Shape, "counter", lambda shape, s: encoding._Template([], range(0)))
         formula, vm = build_instance(n, d, s, options)
     card = cardinality.build_atmost(vm.g_lits(), s, vm.fresh)
     for clause in card.clauses:
@@ -405,18 +412,16 @@ def test_instances_of_one_level_share_a_counter_template():
     assert counter(c).num_clauses < counter(a).num_clauses
 
 
-def test_counter_cache_stays_within_its_bound():
-    encoding._counter_template.cache_clear()
-    bound = encoding.COUNTER_TEMPLATES
-    assert encoding._counter_template.cache_info().maxsize == bound
-    for s in range(1, 3 * bound):
-        build_instance(4, 3, s)
-        assert encoding._counter_template.cache_info().currsize <= bound
-    assert encoding._counter_template.cache_info().currsize == bound
-    # the last bound levels are the ones kept
-    hits = encoding._counter_template.cache_info().hits
-    build_instance(4, 3, 3 * bound - 1)
-    assert encoding._counter_template.cache_info().hits == hits + 1
+def test_a_shape_drops_its_counters_with_it():
+    encoding._shape.cache_clear()
+    build_instance(4, 3, 5)
+    counter = weakref.ref(encoding._shape(4, 3, 0).counter(5))
+    gc.collect()
+    assert counter() is not None  # the shape keeps it
+    for d in range(4, 4 + encoding.SHAPES):
+        build_instance(4, d, 5)
+    gc.collect()
+    assert counter() is None  # evicted with its shape
 
 
 def _texts(n, d, s, options):
@@ -462,7 +467,7 @@ def test_instances_of_one_shape_share_its_templates(monkeypatch):
     monkeypatch.setattr(encoding._Template, "__init__", counted)
     again = [build_instance(7, 5, 13, opts.with_prefix(p))[0] for p in t7]
     # the level's counter is the one template the second pass builds
-    assert made == [encoding._counter_template(7, 5, 13)]
+    assert made == [shape.counter(13)]
     assert shape.windows == windows
     # each instance binds the shape's chain template to its own ids: the
     # getter is shared, the constants are the instance's

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from sortnetsat.encoding import prefix_network
 from sortnetsat.networks import (
     DimensionError,
     Network,
@@ -14,6 +15,7 @@ from sortnetsat.networks import (
     reflect,
     unsorted_outputs,
 )
+from sortnetsat.words import generate_prefixes
 from tests.conftest import random_network
 
 BATCHER4 = Network.make(4, [[(1, 2), (3, 4)], [(1, 3), (2, 4)], [(2, 3)]])
@@ -57,6 +59,30 @@ def test_unsorted_outputs_of_sorting_network_empty():
 @pytest.mark.parametrize("n", range(2, 11))
 def test_unsorted_outputs_count_for_empty_prefix(n):
     assert len(unsorted_outputs(Network.make(n, []))) == 2**n - (n + 1)
+
+
+def _unsorted_outputs_one_by_one(net: Network) -> set:
+    """The scalar reference: every input through ``apply_network``."""
+    outputs = (apply_network(net, x) for x in all_inputs(net.n))
+    return {y for y in outputs if not is_sorted_bits(y)}
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_unsorted_outputs_of_every_prefix_match_the_scalar_reference(n):
+    prefixes = generate_prefixes(n, "T'").sentences
+    assert prefixes
+    for prefix in prefixes:
+        net = prefix_network(prefix, n)
+        assert unsorted_outputs(net) == _unsorted_outputs_one_by_one(net), prefix
+
+
+def test_unsorted_outputs_of_random_networks_match_the_scalar_reference():
+    rng = random.Random(7)
+    for n in range(1, 9):
+        for depth in range(0, 5):
+            for _ in range(6):
+                net = random_network(rng, n, depth)
+                assert unsorted_outputs(net) == _unsorted_outputs_one_by_one(net), net
 
 
 def test_reflect_formula():

@@ -75,7 +75,7 @@ def test_reproduce_small_optima_rejects_bad_arguments(tmp_path, monkeypatch, cap
         monkeypatch.setenv(var, value)
         argv = argv[1:]
     else:  # every other argument is checked before the solver is looked up
-        monkeypatch.setattr("sortnetsat.solving.default_config", unreachable)
+        monkeypatch.setattr("sortnetsat.cli.default_config", unreachable)
     monkeypatch.setattr("sortnetsat.search.optimize", unreachable)
     with pytest.raises(SystemExit) as exc:
         _run(monkeypatch, capsys, "reproduce_small_optima.py", *argv)

@@ -577,7 +577,18 @@ def test_a_solver_command_runs_without_the_bundled_source(tmp_path, monkeypatch)
     out = solve(f, cfg)
     assert out.status == UNSAT and out.solver == f"sh {script}"
     assert not cfg.bundled and copy.read_text() == emit_dimacs(f)
-    assert csolver.binary_path() is None and csolver.ensure_built(quiet=True) is None
+    assert csolver.binary_path() is None
+    with pytest.raises(csolver.BuildError, match="source .* is missing"):
+        csolver.ensure_built()
+
+
+def test_without_a_compiler_the_default_is_the_builtin_dpll(monkeypatch):
+    from sortnetsat.solving import SOLVER_ENV_VAR, default_config
+
+    monkeypatch.delenv(SOLVER_ENV_VAR, raising=False)
+    monkeypatch.setattr(csolver, "compiler", lambda: None)
+    cfg = default_config(timeout=10)
+    assert cfg.command is None and cfg.name == "builtin-dpll"
 
 
 needs_cc = pytest.mark.skipif(csolver.compiler() is None, reason="no C compiler")

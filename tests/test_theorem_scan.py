@@ -124,7 +124,7 @@ def test_theorem_scan_rejects_a_level_it_cannot_scan(tmp_path, monkeypatch, caps
         monkeypatch.setenv(var, value)
         level = level[1:]
     else:  # every other argument is checked before the solver is looked up
-        monkeypatch.setattr("sortnetsat.solving.default_config", unreachable)
+        monkeypatch.setattr("sortnetsat.cli.default_config", unreachable)
     monkeypatch.setattr("sortnetsat.search.run_level", unreachable)
     catalog = tmp_path / "scan.jsonl"
     with pytest.raises(SystemExit) as exc:
@@ -145,3 +145,20 @@ def test_theorem_scan_reports_a_solver_that_is_not_one(tmp_path, monkeypatch, ca
     err = capsys.readouterr().err
     assert err == ("theorem_scan.py: error: no 's' status line in solver output "
                    "(exit code 0, stderr: '')\n")
+
+
+def test_theorem_scan_reports_a_bundled_solver_that_does_not_compile(
+    uncompilable_source, tmp_path, monkeypatch, capsys
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr("sortnetsat.search.run_level", unreachable)
+    catalog = tmp_path / "scan.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        _scan(monkeypatch, capsys, catalog, ("4", "3", "5"))
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("theorem_scan.py: error: solver build failed: ")
+    assert err.count("\n") == 1
+    assert not catalog.exists()
