@@ -10,7 +10,9 @@ The loader skips, with a warning, each line ``SearchResult.from_record``
 rejects.  A witness it keeps fits its bounds, sorts and extends its prefix,
 so it is a proof: no indexed witness refutes (fits the bounds of) an indexed
 UNSAT under the same n and options key.  Such an UNSAT settles nothing, a
-warning names both lines, and the witness stays.
+warning names both lines, and the witness stays.  Nor does a record derived
+from a dropped UNSAT, directly or through another derived record: each is
+dropped with a warning too.
 """
 
 from __future__ import annotations
@@ -170,6 +172,8 @@ class ResultCatalog:
         # the index (and of no other), by its id
         self._lines = 0
         self._place: dict[int, str] = {}
+        # (d, s) of each UNSAT dropped from the index, by (n, options key)
+        self._ignored: dict[tuple, set[tuple[int, int]]] = {}
         if self.path is not None and self.path.exists():
             for self._lines, line in enumerate(self.path.read_text().splitlines(), 1):
                 if not line.strip():
@@ -183,15 +187,27 @@ class ResultCatalog:
 
     def _enter(self, res: SearchResult) -> None:
         """Index ``res``, the latest line, unless an indexed witness refutes
-        it, and drop each indexed UNSAT that it refutes; every record enters
-        here.  In memory the line is the record's place in ``put`` order."""
-        records = self._index.setdefault((res.n, res.options_key), [])
+        it, and drop each indexed UNSAT that it refutes, with every record
+        derived from a dropped UNSAT; every record enters here.  In memory the
+        line is the record's place in ``put`` order."""
+        group = (res.n, res.options_key)
+        records = self._index.setdefault(group, [])
         self._place[id(res)] = f"{self.path or 'catalog'}:{self._lines}"
         refuted = [(u, res) for u in records if _refutes(res, u)]
         refuted += [(res, w) for w in records if _refutes(w, res)][:1]
         for u, w in refuted:
             warnings.warn(f"{self._place.pop(id(u))}: UNSAT at ({u.n},{u.d},{u.s}) is refuted "
                           f"by the witness at {self._place[id(w)]}; ignored")
+        ignored = self._ignored.setdefault(group, set())
+        ignored.update((u.d, u.s) for u, _ in refuted)
+        # a derived record is written after the record it was derived from
+        # was indexed, so one pass in catalog order follows every chain
+        for r in (*records, res):
+            if id(r) in self._place and r.status == UNSAT and r.implied_by in ignored:
+                d, s = r.implied_by
+                warnings.warn(f"{self._place.pop(id(r))}: UNSAT at ({r.n},{r.d},{r.s}) is "
+                              f"derived from the ignored UNSAT at ({r.n},{d},{s}); ignored")
+                ignored.add((r.d, r.s))
         records[:] = [r for r in (*records, res) if id(r) in self._place]
 
     def get(self, task) -> SearchResult | None:

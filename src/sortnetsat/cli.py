@@ -1,15 +1,18 @@
 """Command-line interface.
 
-Subcommands: ``prefixes``, ``encode``, ``solve``, ``optimize``, ``verify``,
-``render``, ``solver-build``.  The solver is ``default_config``'s: the
-SORTNETSAT_SOLVER command, else the bundled CDCL solver compiled on first
-use, else the builtin DPLL.
+Subcommands: ``prefixes``, ``encode``, ``solve``, ``optimize``, ``scan``
+(one (n, d, s) level over the complete prefix set T'_n, the paper's lower
+bounds), ``verify``, ``render``, ``solver-build``.  The solver is
+``default_config``'s: the SORTNETSAT_SOLVER command, else the bundled CDCL
+solver compiled on first use, else the builtin DPLL.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
+import time
 from pathlib import Path
 
 from sortnetsat import csolver
@@ -17,9 +20,10 @@ from sortnetsat.catalog import ResultCatalog
 from sortnetsat.encoding import EncodeOptions, EncodingError, build_instance
 from sortnetsat.networks import Network, is_sorting_network
 from sortnetsat.render import render_svg
-from sortnetsat.search import optimize, run_task, SearchTask
+from sortnetsat.search import optimize, run_level, run_task, SearchTask
 from sortnetsat.solving import (
     SAT,
+    UNKNOWN,
     UNSAT,
     SolverBackendError,
     SolverConfig,
@@ -164,6 +168,52 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return 0 if claim.proven else 3
 
 
+def cmd_scan(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise UsageError(f"n must be positive, got {args.n}")
+    if args.d < 2:
+        raise UsageError(f"a prefix pins two layers, so d must be at least 2, got {args.d}")
+    if args.s < 1:
+        raise UsageError(f"s must be positive, got {args.s}")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    prefixes = args.scan_prefixes(args.n, "T'").sentences
+    if not prefixes:
+        raise UsageError(f"T'_{args.n} is empty: there is no prefix to scan")
+    _check_output(args.catalog)
+    config = _solver_config(args)
+    print(f"(n={args.n}, d={args.d}, s={args.s}) over {len(prefixes)} prefixes, "
+          f"solver {config.name}")
+
+    done = itertools.count(1)
+    start = time.monotonic()
+
+    def report(res):
+        k = next(done)
+        eta = (time.monotonic() - start) / k * (len(prefixes) - k)
+        print(f"[{k}/{len(prefixes)}] {format_sentence(res.prefix)}: {res.status} "
+              f"({res.how(1)}, eta {eta:.0f}s)", flush=True)
+
+    level = run_level(args.n, args.d, args.s, prefixes, config=config,
+                      catalog=ResultCatalog(args.catalog), jobs=args.jobs,
+                      stop_on_sat=False, on_result=report)
+    statuses = [r.status for r in level.results]
+    implied = sum(r.implied_by is not None for r in level.results)
+    print(f"\ntotal {time.monotonic() - start:.0f}s: "
+          f"{statuses.count(SAT)} SAT, {statuses.count(UNSAT)} UNSAT, "
+          f"{statuses.count(UNKNOWN)} UNKNOWN; {implied} implied by other records")
+    if level.witnesses():
+        print("witness prefixes:")
+        for r in level.witnesses():
+            print(" ", format_sentence(r.prefix))
+    if level.status == UNKNOWN:
+        print("verdict: NOT PROVEN (unknowns remain)")
+        return 3
+    print("verdict:", "SAT (a network exists)" if level.status == SAT
+          else "UNSAT (bound proven over the complete prefix set)")
+    return 0
+
+
 def _read_network(path: str) -> Network:
     try:
         text = Path(path).read_text()
@@ -210,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prefixes", help="emit a complete two-layer prefix set")
     p.add_argument("n", type=int)
-    p.add_argument("--variant", default="Tprime", choices=["H", "T", "Tprime", "G"])
+    p.add_argument("--variant", default="T'", help="H, T, T' (or Tprime) or G")
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(fn=cmd_prefixes)
 
@@ -247,6 +297,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save-witness")
     p.set_defaults(fn=cmd_optimize)
 
+    p = sub.add_parser("scan", help="prove or refute (n, d, s) over every prefix in T'_n")
+    p.add_argument("n", type=int)
+    p.add_argument("d", type=int)
+    p.add_argument("s", type=int)
+    p.add_argument("--jobs", type=int, default=2)
+    p.add_argument("--timeout", type=float, default=7200.0, help="per instance")
+    p.add_argument("--catalog", default="theorem_scan.jsonl")
+    p.set_defaults(fn=cmd_scan)
+
     p = sub.add_parser("verify", help="check a network JSON file sorts")
     p.add_argument("network")
     p.set_defaults(fn=cmd_verify)
@@ -262,9 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None, scan_prefixes=generate_prefixes) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the prefix set ``scan`` reads: only scripts/theorem_scan.py passes its
+    # own, the name the benchmark's level workload (perfbench/workloads.py)
+    # replaces with a fixed tenth of T'_9; it goes once the benchmark runs
+    # ``scan`` itself
+    args.scan_prefixes = scan_prefixes
     try:
         return args.fn(args)
     except (EncodingError, WordError, UsageError) as exc:

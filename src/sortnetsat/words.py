@@ -51,7 +51,8 @@ _SWAP12 = str.maketrans("12", "21")
 
 
 class WordError(ValueError):
-    """A string is not a grammar-valid word or sentence."""
+    """A string is not a grammar-valid word or sentence, or names no prefix
+    variant."""
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +266,7 @@ def _normalize_variant(variant: str) -> str:
     key = variant.strip().lower().replace("'", "prime")
     table = {"h": "H", "t": "T", "tprime": "T'", "g": "G"}
     if key not in table:
-        raise ValueError(f"unknown prefix variant {variant!r} (H, T, T', G)")
+        raise WordError(f"unknown prefix variant {variant!r} (H, T, T', G)")
     return table[key]
 
 

@@ -1,6 +1,8 @@
 """The checks a catalog record passes at load, and the one check across
-records: no indexed witness refutes an indexed UNSAT."""
+records: no indexed witness refutes an indexed UNSAT, nor settles anything
+that a refuted UNSAT settled."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -13,6 +15,7 @@ from sortnetsat.catalog import ResultCatalog, SearchResult
 from sortnetsat.encoding import EncodeOptions, prefix_network
 from sortnetsat.search import run_task
 from sortnetsat.solving import SAT, UNSAT
+from sortnetsat.networks import Network
 from tests.test_search import (
     DEEP_SORTER_4,
     P0,
@@ -85,6 +88,43 @@ def test_a_fresh_witness_refutes_a_loaded_unsat(tmp_path):
         reloaded = ResultCatalog(path)
     assert [str(w.message) for w in caught] == [_refuted(path, 1, 2)]
     assert reloaded.get(_task(3, 6, prefix=None)).implied_by == (4, 5)
+
+
+# the odd-even transposition 4-sorter: 4 layers, 6 comparators
+TRANSPOSITION_4 = Network.make(4, [[(1, 2), (3, 4)], [(2, 3)], [(1, 2), (3, 4)], [(2, 3)]])
+
+
+def _derived(d, s, source):
+    return dataclasses.replace(_record(d, s, prefix=None), implied_by=source)
+
+
+@pytest.mark.parametrize(
+    "order, warned",
+    [
+        ("UDW", ["1: UNSAT at (4,4,6) is refuted by the witness at {path}:3",
+                 "2: UNSAT at (4,3,6) is derived from the ignored UNSAT at (4,4,6)"]),
+        ("UWD", ["1: UNSAT at (4,4,6) is refuted by the witness at {path}:2",
+                 "3: UNSAT at (4,3,6) is derived from the ignored UNSAT at (4,4,6)"]),
+        ("UDCW", ["1: UNSAT at (4,4,6) is refuted by the witness at {path}:4",
+                  "2: UNSAT at (4,3,6) is derived from the ignored UNSAT at (4,4,6)",
+                  "3: UNSAT at (4,3,5) is derived from the ignored UNSAT at (4,3,6)"]),
+    ],
+    ids=["derived-then-witness", "witness-then-derived", "derived-chain"],
+)
+def test_a_record_derived_from_a_refuted_unsat_settles_nothing(tmp_path, order, warned):
+    # (4,3,5) is SAT (SORTER_4), yet the UNSAT at (4,4,6) settled it through
+    # the record derived from it at (4,3,6)
+    records = {"U": _record(4, 6, prefix=None), "D": _derived(3, 6, (4, 6)),
+               "C": _derived(3, 5, (3, 6)), "W": _record(4, 6, SAT, TRANSPOSITION_4, prefix=None)}
+    path = _file_catalog(tmp_path / "catalog.jsonl", *map(records.get, order))
+    with pytest.warns(UserWarning) as caught:
+        catalog = ResultCatalog(path)
+    assert [str(w.message) for w in caught] == [
+        f"{path}:{line.format(path=path)}; ignored" for line in warned
+    ]
+    assert catalog.get(_task(3, 6, prefix=None)) is None
+    assert catalog.get(_task(3, 5, prefix=None)) is None
+    assert catalog.get(_task(4, 6, prefix=None)).network == TRANSPOSITION_4
 
 
 @pytest.mark.parametrize(

@@ -17,8 +17,9 @@ def test_prefixes_listing(capsys):
 
 
 def test_prefixes_count_only(capsys):
-    assert main(["prefixes", "11", "--variant", "Tprime", "--count-only"]) == 0
-    assert capsys.readouterr().out.strip() == "403"
+    for variant in ("Tprime", "T'"):
+        assert main(["prefixes", "11", "--variant", variant, "--count-only"]) == 0
+        assert capsys.readouterr().out.strip() == "403"
 
 
 def test_encode_writes_dimacs_and_map(tmp_path, capsys):
@@ -131,6 +132,9 @@ def test_optimize_pareto_prints_its_witnesses(tmp_path, capsys):
         (["encode", "4", "3", "5", "--prefix", "(1x2)"], "malformed word '1x2'"),
         (["encode", "4", "3", "5", "--prefix", "(21,21)"], "word '21' is not canonical; write '12'"),
         (["prefixes", "0"], "n must be positive, got 0"),
+        (["prefixes", "5", "--variant", "X"], "unknown prefix variant 'X' (H, T, T', G)"),
+        (["prefixes", "5", "--variant", "X", "--count-only"],
+         "unknown prefix variant 'X' (H, T, T', G)"),
         (["optimize", "1", "--mode", "pareto"], "optimize needs n >= 2, got 1"),
         (["optimize", "5", "--mode", "size"], "optimize --mode size needs --depth"),
         (["optimize", "5", "--mode", "depth"], "optimize --mode depth needs --size"),
@@ -192,6 +196,7 @@ def test_optimize_pareto_prints_its_witnesses(tmp_path, capsys):
          "SORTNETSAT_SOLVER=' ' names no program that can be found"),
     ],
     ids=["prefix-too-deep", "malformed-prefix", "non-canonical-prefix", "no-channels",
+         "unknown-variant", "unknown-variant-count",
          "one-channel-optimize", "size-mode-without-depth",
          "depth-mode-without-size", "size-zero", "depth-zero", "no-jobs",
          "no-timeout", "nan-timeout", "infinite-timeout", "optimize-nan-timeout",

@@ -221,8 +221,9 @@ def test_optimize_min_depth_given_size(builtin_cfg):
         (4, "pareto", {}, "frontier (d=3, s=5)", 5),
         (4, "min_depth_given_size", {"size": 5}, "", 3),
         (2, "pareto", {}, "frontier (d=1, s=1)", 1),
+        (3, "pareto", {}, "frontier (d=3, s=3)", 3),
     ],
-    ids=["pareto-4", "min-depth-4", "pareto-2"],
+    ids=["pareto-4", "min-depth-4", "pareto-2", "pareto-3"],
 )
 def test_prefixed_claims_run_shallow_levels_without_prefixes(builtin_cfg, n, mode, bound,
                                                              note, value):

@@ -1,28 +1,24 @@
-import importlib.util
+"""``sortnetsat scan N D S``: one (n, d, s) level over the complete prefix
+set T'_n, the scan behind each of the paper's lower bounds."""
+
 import json
 import re
 from pathlib import Path
 
 import pytest
 
+from sortnetsat.cli import main
 from sortnetsat.solving import SOLVER_ENV_VAR
 from sortnetsat.words import format_sentence, generate_prefixes
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "theorem_scan.py"
 PROGRESS = re.compile(
     r"\[(\d+)/(\d+)\] (\S+): (SAT|UNSAT|UNKNOWN) "
     r"\((?:\d+\.\d+s|implied by d=(\d+) s=(\d+)|(from catalog)), eta \d+s\)"
 )
 
 
-def _scan(monkeypatch, capsys, catalog: Path, level=("4", "3", "4"),
-          *flags: str) -> tuple[int, str]:
-    spec = importlib.util.spec_from_file_location("theorem_scan", SCRIPT)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    monkeypatch.setattr("sys.argv", [str(SCRIPT), *level, "--jobs", "2",
-                                     "--catalog", str(catalog), *flags])
-    rc = mod.main()
+def _scan(capsys, catalog: Path, level=("4", "3", "4"), *flags: str) -> tuple[int, str]:
+    rc = main(["scan", *level, "--jobs", "2", "--catalog", str(catalog), *flags])
     return rc, capsys.readouterr().out
 
 
@@ -40,7 +36,7 @@ def _prefixes(lines: list[str]) -> list[str]:
 def test_theorem_scan_proves_a_level_and_resumes(external_cfg, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv(SOLVER_ENV_VAR, raising=False)  # the bundled solver
     catalog = tmp_path / "scan.jsonl"
-    rc, out = _scan(monkeypatch, capsys, catalog)
+    rc, out = _scan(capsys, catalog)
     assert rc == 0 and "verdict: UNSAT" in out
     expected = [format_sentence(p) for p in generate_prefixes(4, "T'").sentences]
     lines = catalog.read_text().splitlines()
@@ -53,7 +49,7 @@ def test_theorem_scan_proves_a_level_and_resumes(external_cfg, tmp_path, monkeyp
 
     # an interrupted scan: the last two records never reached the catalog
     catalog.write_text("".join(line + "\n" for line in lines[:-2]))
-    rc, out = _scan(monkeypatch, capsys, catalog)
+    rc, out = _scan(capsys, catalog)
     assert rc == 0 and "verdict: UNSAT" in out
     resumed = catalog.read_text().splitlines()
     assert len(resumed) == len(lines)  # only the two missing prefixes were solved
@@ -70,13 +66,13 @@ def test_theorem_scan_solves_only_what_a_larger_level_leaves_open(
 ):
     monkeypatch.delenv(SOLVER_ENV_VAR, raising=False)  # the bundled solver
     catalog = tmp_path / "scan.jsonl"
-    rc, out = _scan(monkeypatch, capsys, catalog, ("4", "3", "5"))
+    rc, out = _scan(capsys, catalog, ("4", "3", "5"))
     assert rc == 0 and "verdict: SAT" in out
     above = [json.loads(line) for line in catalog.read_text().splitlines()]
     witnesses = {r["prefix"] for r in above if r["status"] == "SAT"}
     assert witnesses and len(witnesses) < len(above)
 
-    rc, out = _scan(monkeypatch, capsys, catalog, ("4", "3", "4"))
+    rc, out = _scan(capsys, catalog, ("4", "3", "4"))
     assert rc == 0 and "verdict: UNSAT" in out
     below = [json.loads(line) for line in catalog.read_text().splitlines()][len(above):]
     assert len(below) == len(above)
@@ -125,13 +121,13 @@ def test_theorem_scan_rejects_a_level_it_cannot_scan(tmp_path, monkeypatch, caps
         level = level[1:]
     else:  # every other argument is checked before the solver is looked up
         monkeypatch.setattr("sortnetsat.cli.default_config", unreachable)
-    monkeypatch.setattr("sortnetsat.search.run_level", unreachable)
+    monkeypatch.setattr("sortnetsat.cli.run_level", unreachable)
     catalog = tmp_path / "scan.jsonl"
     with pytest.raises(SystemExit) as exc:
-        _scan(monkeypatch, capsys, catalog, level, *flags)
+        _scan(capsys, catalog, level, *flags)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"theorem_scan.py: error: {message}" in err and "Traceback" not in err
+    assert f"sortnetsat: error: {message}" in err and "Traceback" not in err
     assert not catalog.exists()
 
 
@@ -140,10 +136,10 @@ def test_theorem_scan_reports_a_solver_that_is_not_one(tmp_path, monkeypatch, ca
     # --jobs 2, so the error comes out of a worker
     monkeypatch.setenv(SOLVER_ENV_VAR, "true")
     with pytest.raises(SystemExit) as exc:
-        _scan(monkeypatch, capsys, tmp_path / "scan.jsonl", ("4", "3", "5"))
+        _scan(capsys, tmp_path / "scan.jsonl", ("4", "3", "5"))
     assert exc.value.code == 1
     err = capsys.readouterr().err
-    assert err == ("theorem_scan.py: error: no 's' status line in solver output "
+    assert err == ("sortnetsat: error: no 's' status line in solver output "
                    "(exit code 0, stderr: '')\n")
 
 
@@ -153,12 +149,12 @@ def test_theorem_scan_reports_a_bundled_solver_that_does_not_compile(
     def unreachable(*args, **kwargs):
         raise AssertionError("the scan started")
 
-    monkeypatch.setattr("sortnetsat.search.run_level", unreachable)
+    monkeypatch.setattr("sortnetsat.cli.run_level", unreachable)
     catalog = tmp_path / "scan.jsonl"
     with pytest.raises(SystemExit) as exc:
-        _scan(monkeypatch, capsys, catalog, ("4", "3", "5"))
+        _scan(capsys, catalog, ("4", "3", "5"))
     assert exc.value.code == 1
     err = capsys.readouterr().err
-    assert err.startswith("theorem_scan.py: error: solver build failed: ")
+    assert err.startswith("sortnetsat: error: solver build failed: ")
     assert err.count("\n") == 1
     assert not catalog.exists()
